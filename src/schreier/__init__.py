@@ -24,6 +24,7 @@ from .actions import (
 )
 from .basis import (
     BasisElement,
+    InvariantError,
     SchreierBasis,
     compute_basis,
     degenerate_count,
@@ -70,6 +71,7 @@ __all__ = [
     "FiniteAction",
     "HAction",
     "InducedAction",
+    "InvariantError",
     "Letter",
     "NotInSubgroupError",
     "Permutation",

@@ -8,7 +8,7 @@ each nonempty representative, so there are m - 1 of them and the basis
 has 1 + m(n - 1) elements.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import words
 from .actions import evaluate
@@ -17,12 +17,20 @@ from .words import Alphabet, Word
 
 __all__ = [
     "BasisElement",
+    "InvariantError",
     "SchreierBasis",
     "compute_basis",
     "degenerate_count",
     "degenerate_pair_of_rep",
     "schreier_formula_check",
 ]
+
+
+class InvariantError(AssertionError):
+    """A theorem of the construction failed on this input.
+
+    Raised explicitly, so unlike ``assert`` it survives ``python -O``.
+    """
 
 
 @dataclass(frozen=True)
@@ -40,20 +48,22 @@ class SchreierBasis:
     """Basis elements ordered by (coset, generator).
 
     ``index`` maps every (coset, generator) pair to the position of its
-    basis element, or to None when the pair is degenerate.
+    basis element, or to None when the pair is degenerate.  It is
+    determined by ``elements``, so equality and hashing leave it out.
     """
 
     alphabet: Alphabet
     num_cosets: int
     elements: tuple[BasisElement, ...]
-    index: dict[tuple[int, int], int | None]
+    index: dict[tuple[int, int], int | None] = field(compare=False)
 
 
 def compute_basis(table: CosetTable, transversal: SchreierTransversal) -> SchreierBasis:
     """Enumerate all (coset, generator) pairs and keep the nonidentity words.
 
     The counting and distinctness facts are theorems for any Schreier
-    transversal; they are asserted here so a violation fails loudly.
+    transversal; they are checked here so a violation raises
+    :class:`InvariantError`.
     """
     act = table.action
     n = len(act.alphabet)
@@ -72,12 +82,14 @@ def compute_basis(table: CosetTable, transversal: SchreierTransversal) -> Schrei
                 elements.append(BasisElement(c, g, t, word))
     basis = SchreierBasis(act.alphabet, m, tuple(elements), index)
 
-    assert len(elements) == 1 + m * (n - 1), "Schreier count violated"
-    assert degenerate_count(basis) == m - 1, "degenerate count violated"
-    assert len({e.word for e in elements}) == len(elements), "basis words not distinct"
-    assert all(
-        evaluate(act, table.basepoint, e.word) == table.basepoint for e in elements
-    ), "basis word does not fix the basepoint"
+    if len(elements) != 1 + m * (n - 1):
+        raise InvariantError("Schreier count violated")
+    if degenerate_count(basis) != m - 1:
+        raise InvariantError("degenerate count violated")
+    if len({e.word for e in elements}) != len(elements):
+        raise InvariantError("basis words not distinct")
+    if not all(evaluate(act, table.basepoint, e.word) == table.basepoint for e in elements):
+        raise InvariantError("basis word does not fix the basepoint")
     return basis
 
 

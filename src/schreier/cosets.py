@@ -83,13 +83,14 @@ def build_table(act: FiniteAction, basepoint: int) -> tuple[CosetTable, Schreier
     pos = 0
     while pos < len(points):
         p = points[pos]
-        for g in range(n):
-            for sign in (1, -1):
-                q = act.step(p, Letter(g, sign))
-                if q not in index:
-                    index[q] = len(points)
-                    points.append(q)
-                    reps.append(words.concat(reps[pos], words.single(act.alphabet, g, sign)))
+        for lt in act.alphabet._letters:  # in shortlex letter order
+            q = act.step(p, lt)
+            if q not in index:
+                index[q] = len(points)
+                points.append(q)
+                # Never cancels: undoing the last letter of reps[pos]
+                # leads back to its parent coset, which is indexed.
+                reps.append(words._word(act.alphabet, reps[pos].letters + (lt,)))
         pos += 1
     transitions = tuple(
         tuple(index[act.gen_perms[g](p)] for g in range(n)) for p in points

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import words
 from .actions import ActionParseError, FiniteAction, Permutation, evaluate
-from .basis import SchreierBasis
+from .basis import InvariantError, SchreierBasis
 from .cosets import CosetTable, SchreierTransversal, coset_of
 from .rewrite import rewrite
 from .words import Word
@@ -81,7 +81,8 @@ def induce(sigma: HAction, table: CosetTable, transversal: SchreierTransversal, 
                 images[a + d * c] = a2 + d * c2
         gen_perms.append(Permutation(tuple(images)))
     ind = InducedAction(FiniteAction(table.action.alphabet, d * m, tuple(gen_perms)), d, m)
-    assert check_claim(ind, transversal), "transversal words must move cosets without touching A"
+    if not check_claim(ind, transversal):
+        raise InvariantError("transversal words must move cosets without touching A")
     return ind
 
 
@@ -105,7 +106,8 @@ def restrict_to_h(ind: InducedAction, basis: SchreierBasis) -> tuple[Permutation
         images = []
         for a in range(ind.h_degree):
             a2, c2 = ind.decode(evaluate(ind.base, ind.encode(a, 0), element.word))
-            assert c2 == 0, "basis word moved the coset coordinate"
+            if c2 != 0:
+                raise InvariantError("basis word moved the coset coordinate")
             images.append(a2)
         perms.append(Permutation(tuple(images)))
     return tuple(perms)

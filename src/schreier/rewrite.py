@@ -13,7 +13,7 @@ from typing import Iterable
 from . import words
 from .basis import SchreierBasis
 from .cosets import CosetTable, SchreierTransversal
-from .words import Word
+from .words import Letter, Word
 
 __all__ = [
     "BWord",
@@ -89,16 +89,23 @@ def rewrite(table: CosetTable, transversal: SchreierTransversal, basis: Schreier
 
 
 def expand(basis: SchreierBasis, bw: BWord | Iterable[tuple[int, int]]) -> Word:
-    """Substitute basis words for factors and reduce.
+    """Substitute basis words for factors and reduce, in O(total factor length).
 
     Accepts a BWord or any (index, sign) sequence; unreduced sequences
-    are fine, cancellation happens during concatenation.
+    are fine.  Each factor's letters (inverted for sign -1) go onto one
+    stack, and only the letters where a factor meets the stack can
+    cancel, since each basis word is already reduced.
     """
     factors = bw.factors if isinstance(bw, BWord) else bw
-    out = words.identity(basis.alphabet)
+    elements = basis.elements
+    stack: list[Letter] = []
     for k, s in factors:
-        if not 0 <= k < len(basis.elements):
+        if not 0 <= k < len(elements):
             raise ValueError(f"basis index {k} out of range")
-        word = basis.elements[k].word
-        out = words.concat(out, word if s > 0 else words.invert(word))
-    return out
+        letters = elements[k].word.letters
+        if not s > 0:
+            letters = words._inverse_letters(basis.alphabet, letters)
+        cut = words._cancel_point(basis.alphabet, stack, letters)
+        del stack[len(stack) - cut:]
+        stack.extend(letters[cut:])
+    return words._word(basis.alphabet, tuple(stack))

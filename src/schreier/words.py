@@ -64,6 +64,13 @@ class Alphabet:
                 raise ValueError(f"invalid generator name: {name!r}")
         if len(set(names)) != len(names):
             raise ValueError("generator names must be distinct")
+        # One shared Letter per signed generator, indexed by its code
+        # 2g + (sign < 0), i.e. Letter.key(), so the inverse is code ^ 1.
+        # Words over this alphabet hold these objects, not a new tuple
+        # per letter.
+        letters = tuple(Letter(g, sign) for g in range(len(names)) for sign in (1, -1))
+        object.__setattr__(self, "_letters", letters)
+        object.__setattr__(self, "_inverse", {lt: letters[code ^ 1] for code, lt in enumerate(letters)})
 
     def __len__(self) -> int:
         return len(self.names)
@@ -96,15 +103,19 @@ class Word:
     letters: tuple[Letter, ...] = ()
 
     def __post_init__(self):
-        letters = tuple(Letter(g, s) for g, s in self.letters)
-        object.__setattr__(self, "letters", letters)
         n = len(self.alphabet)
-        prev = None
-        for lt in letters:
-            _check_letter(lt, n)
-            if prev is not None and prev.gen == lt.gen and prev.sign == -lt.sign:
+        shared = self.alphabet._letters
+        letters = []
+        prev = -2
+        for g, s in self.letters:
+            if not (0 <= g < n and s in (1, -1)):
+                _check_letter(Letter(g, s), n)
+            code = 2 * g + (s < 0)
+            if code == prev ^ 1:
                 raise ValueError("word is not reduced")
-            prev = lt
+            letters.append(shared[code])
+            prev = code
+        object.__setattr__(self, "letters", tuple(letters))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -132,6 +143,18 @@ class Word:
         return f"Word({format_word(self)!r})"
 
 
+def _word(alphabet: Alphabet, letters: tuple[Letter, ...]) -> Word:
+    """Trusted constructor: letters must be shared, in range and reduced.
+
+    Skips the O(len) validation of ``Word(...)``; only for kernels whose
+    output is reduced and in range by construction.
+    """
+    w = object.__new__(Word)
+    object.__setattr__(w, "alphabet", alphabet)
+    object.__setattr__(w, "letters", letters)
+    return w
+
+
 def _check_letter(lt: Letter, n: int) -> None:
     if not 0 <= lt.gen < n:
         raise ValueError(f"invalid letter: generator index {lt.gen} out of range for {n} generators")
@@ -156,38 +179,51 @@ def reduce(alphabet: Alphabet, raw: Iterable[tuple[int, int]]) -> Word:
     a reduced word back in is a no-op.
     """
     n = len(alphabet)
-    stack: list[Letter] = []
+    stack: list[int] = []
     for g, s in raw:
-        lt = Letter(g, s)
-        _check_letter(lt, n)
-        if stack and stack[-1].gen == lt.gen and stack[-1].sign == -lt.sign:
+        if not (0 <= g < n and s in (1, -1)):
+            _check_letter(Letter(g, s), n)
+        code = 2 * g + (s < 0)
+        if stack and stack[-1] == code ^ 1:
             stack.pop()
         else:
-            stack.append(lt)
-    return Word(alphabet, tuple(stack))
+            stack.append(code)
+    return _word(alphabet, tuple(map(alphabet._letters.__getitem__, stack)))
+
+
+def _cancel_point(alphabet: Alphabet, left: tuple[Letter, ...] | list[Letter],
+                  right: tuple[Letter, ...]) -> int:
+    """How many letters cancel where reduced ``left`` meets reduced ``right``.
+
+    Only the junction can cancel, so this costs O(cancelled letters).
+    """
+    inverse = alphabet._inverse
+    i, k, top = len(left), 0, min(len(left), len(right))
+    while k < top and left[i - 1 - k] == inverse[right[k]]:
+        k += 1
+    return k
 
 
 def concat(w: Word, v: Word) -> Word:
     """Group multiplication: reduce w followed by v."""
     if w.alphabet != v.alphabet:
         raise ValueError("alphabet mismatch")
-    stack = list(w.letters)
-    for lt in v.letters:
-        if stack and stack[-1].gen == lt.gen and stack[-1].sign == -lt.sign:
-            stack.pop()
-        else:
-            stack.append(lt)
-    return Word(w.alphabet, tuple(stack))
+    k = _cancel_point(w.alphabet, w.letters, v.letters)
+    return _word(w.alphabet, w.letters[:len(w.letters) - k] + v.letters[k:])
+
+
+def _inverse_letters(alphabet: Alphabet, letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    return tuple(map(alphabet._inverse.__getitem__, reversed(letters)))
 
 
 def invert(w: Word) -> Word:
     """Group inverse: reverse the letters and flip every sign."""
-    return Word(w.alphabet, tuple(lt.inverse() for lt in reversed(w.letters)))
+    return _word(w.alphabet, _inverse_letters(w.alphabet, w.letters))
 
 
 def prefixes(w: Word) -> list[Word]:
     """All prefixes of w, shortest first, ending with w itself."""
-    return [Word(w.alphabet, w.letters[:i]) for i in range(len(w.letters) + 1)]
+    return [_word(w.alphabet, w.letters[:i]) for i in range(len(w.letters) + 1)]
 
 
 def parse(text: str, alphabet: Alphabet) -> Word:
@@ -198,7 +234,10 @@ def parse(text: str, alphabet: Alphabet) -> Word:
     """
     if text.strip() == "1":
         return identity(alphabet)
-    raw: list[tuple[int, int]] = []
+    # Runs [gen, exponent]: a factor on the same generator as the last
+    # run folds into it, and a run that folds to 0 is dropped, so the
+    # runs stay freely reduced and no cancelled letter is ever built.
+    runs: list[list[int]] = []
     pos = _skip_ws(text, 0)
     end = len(text)
     if pos == end:
@@ -218,8 +257,12 @@ def parse(text: str, alphabet: Alphabet) -> Word:
             if k == 0:
                 raise WordParseError("malformed exponent: must be nonzero")
             pos = m2.end()
-        sign = 1 if k > 0 else -1
-        raw.extend((gen, sign) for _ in range(abs(k)))
+        if runs and runs[-1][0] == gen:
+            runs[-1][1] += k
+            if runs[-1][1] == 0:
+                runs.pop()
+        else:
+            runs.append([gen, k])
         sep_start = pos
         pos = _skip_ws(text, pos)
         if pos == end:
@@ -230,7 +273,10 @@ def parse(text: str, alphabet: Alphabet) -> Word:
                 raise WordParseError("empty factor after '*'")
         elif pos == sep_start:
             raise WordParseError(f"missing separator at position {pos}")
-    return reduce(alphabet, raw)
+    letters: list[Letter] = []
+    for gen, k in runs:
+        letters.extend([alphabet._letters[2 * gen + (k < 0)]] * abs(k))
+    return _word(alphabet, tuple(letters))
 
 
 def _skip_ws(text: str, pos: int) -> int:
@@ -261,16 +307,13 @@ def iter_reduced_words(alphabet: Alphabet, max_len: int) -> Iterator[Word]:
     """Yield every reduced word of length <= max_len in shortlex order."""
     layer = [identity(alphabet)]
     yield layer[0]
-    n = len(alphabet)
     for _ in range(max_len):
         grown: list[Word] = []
         for w in layer:
-            last = w.letters[-1] if w.letters else None
-            for g in range(n):
-                for sign in (1, -1):
-                    if last is not None and last.gen == g and last.sign == -sign:
-                        continue
-                    grown.append(Word(alphabet, w.letters + (Letter(g, sign),)))
+            blocked = alphabet._inverse[w.letters[-1]] if w.letters else None
+            for lt in alphabet._letters:  # in shortlex letter order
+                if lt is not blocked:
+                    grown.append(_word(alphabet, w.letters + (lt,)))
         if not grown:
             return
         yield from grown

@@ -117,3 +117,11 @@ def test_degenerate_pair_of_rep_rejects_identity_rep():
     table, tr = s.build_table(CYCLE3, 0)
     with pytest.raises(ValueError, match="empty representative"):
         s.degenerate_pair_of_rep(table, tr, 0)
+
+
+def test_equal_bases_hash_equal():
+    first = s.compute_basis(*s.build_table(CYCLE3, 0))
+    second = s.compute_basis(*s.build_table(CYCLE3, 0))
+    assert first == second and hash(first) == hash(second)
+    assert len({first, second}) == 1
+    assert second.index[(1, 0)] == 1

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -217,3 +221,44 @@ def test_haction_from_action_file_names():
         "perm b0 1 0\nperm b1 0 1\nperm b2 0 1\nperm c3 0 1\n")
     with pytest.raises(s.ActionParseError, match="must be exactly b0..b3"):
         s.haction_from_action(bad_names, basis)
+
+
+_TAMPERED = """
+import schreier as s
+from schreier.basis import BasisElement, SchreierBasis
+
+ab = s.Alphabet(("x", "y"))
+act = s.FiniteAction(ab, 3, (s.Permutation((1, 2, 0)), s.Permutation((0, 1, 2))))
+table, tr = s.build_table(act, 0)
+basis = s.compute_basis(table, tr)
+sigma = s.HAction(2, (s.Permutation((1, 0)),) * len(basis.elements))
+swapped = s.SchreierTransversal((tr.reps[0], tr.reps[2], tr.reps[1]))
+x = ab.word("x")
+moving = SchreierBasis(ab, 3, (BasisElement(0, 0, tr.reps[0], x),), {})
+cases = [
+    ("degenerate count violated", lambda: s.compute_basis(table, swapped)),
+    ("without touching A", lambda: s.induce(sigma, table, swapped, basis)),
+    ("moved the coset coordinate",
+     lambda: s.restrict_to_h(s.induce(sigma, table, tr, basis), moving)),
+]
+for message, call in cases:
+    try:
+        call()
+    except s.InvariantError as exc:
+        assert message in str(exc), exc
+        print("raised", message)
+    else:
+        raise SystemExit("no error: " + message)
+"""
+
+
+def test_invariants_raise_under_python_O():
+    src = str(Path(s.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", _TAMPERED], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    assert proc.stdout.count("raised") == 3
+
+
+def test_invariant_error_is_an_assertion_error():
+    assert issubclass(s.InvariantError, AssertionError)

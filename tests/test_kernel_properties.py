@@ -1,0 +1,136 @@
+"""Property tests: the word kernels against the oracles in helpers.py."""
+
+import random
+
+import pytest
+from hypothesis import given, strategies as st
+
+import schreier as s
+from helpers import brute_reduce, expand_pairs, make_action, pairs_of_word, random_transitive_perms
+
+ALPHABETS = [s.Alphabet(tuple("abc"[:n])) for n in (1, 2, 3)]
+
+
+def _raw(n: int, max_size: int = 30):
+    return st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1))), max_size=max_size)
+
+
+@st.composite
+def alphabet_and_raws(draw, count: int):
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    return alphabet, [draw(_raw(len(alphabet))) for _ in range(count)]
+
+
+def _inverse_pairs(pairs):
+    return tuple((g, -sign) for g, sign in reversed(pairs))
+
+
+def _revalidates(w: s.Word) -> bool:
+    return s.Word(w.alphabet, w.letters) == w
+
+
+@given(alphabet_and_raws(1))
+def test_reduce_agrees_with_brute_reduce(case):
+    alphabet, (raw,) = case
+    w = s.reduce(alphabet, raw)
+    assert pairs_of_word(w) == brute_reduce(raw)
+    assert _revalidates(w)
+
+
+@given(alphabet_and_raws(2))
+def test_concat_agrees_with_brute_reduce(case):
+    alphabet, (raw_w, raw_v) = case
+    w, v = s.reduce(alphabet, raw_w), s.reduce(alphabet, raw_v)
+    # w w^-1 and (w v) v^-1 cancel all the way through the junction
+    for left, right in ((w, v), (w, s.invert(w)), (s.concat(w, v), s.invert(v))):
+        got = s.concat(left, right)
+        assert pairs_of_word(got) == brute_reduce(pairs_of_word(left) + pairs_of_word(right))
+        assert _revalidates(got)
+
+
+@given(alphabet_and_raws(1))
+def test_invert_agrees_with_brute_reduce(case):
+    alphabet, (raw,) = case
+    w = s.reduce(alphabet, raw)
+    got = s.invert(w)
+    assert pairs_of_word(got) == brute_reduce(_inverse_pairs(pairs_of_word(w)))
+    assert _revalidates(got)
+    assert s.concat(w, got).is_identity()
+
+
+@given(alphabet_and_raws(1))
+def test_prefixes_revalidate(case):
+    alphabet, (raw,) = case
+    w = s.reduce(alphabet, raw)
+    pre = s.prefixes(w)
+    assert [pairs_of_word(p) for p in pre] == [pairs_of_word(w)[:i] for i in range(len(w) + 1)]
+    assert all(_revalidates(p) for p in pre)
+
+
+@given(alphabet_and_raws(1))
+def test_parse_agrees_with_brute_reduce(case):
+    alphabet, (raw,) = case
+    text = " ".join(f"{alphabet.names[g]}^{sign}" for g, sign in raw) or "1"
+    w = s.parse(text, alphabet)
+    assert pairs_of_word(w) == brute_reduce(raw)
+    assert _revalidates(w)
+
+
+def _basis_case(seed: int):
+    rng = random.Random(seed)
+    n, m = rng.randint(1, 3), rng.randint(1, 6)
+    act = make_action(("x", "y", "z")[:n], random_transitive_perms(rng, n, m))
+    table, tr = s.build_table(act, 0)
+    return table, tr, s.compute_basis(table, tr)
+
+
+BASES = [_basis_case(seed) for seed in range(8)]
+
+
+@st.composite
+def basis_and_factors(draw):
+    table, tr, basis = draw(st.sampled_from(BASES))
+    size = len(basis.elements)
+    factor = st.tuples(st.integers(0, size - 1), st.sampled_from((1, -1)))
+    head = draw(st.lists(factor, max_size=12))
+    tail = draw(st.lists(factor, max_size=12))
+    # Undo part of head right after it, so whole factors cancel across
+    # boundaries, not just letters at the junction of basis words.
+    undo = draw(st.integers(0, len(head)))
+    undone = [(k, -sign) for k, sign in reversed(head[len(head) - undo:])]
+    return (table, tr, basis), head + undone + tail
+
+
+@given(basis_and_factors())
+def test_expand_agrees_with_expand_pairs(case):
+    (_, _, basis), factors = case
+    basis_words = [pairs_of_word(e.word) for e in basis.elements]
+    got = s.expand(basis, factors)
+    assert pairs_of_word(got) == expand_pairs(basis_words, factors)
+    assert _revalidates(got)
+
+
+@given(basis_and_factors())
+def test_expand_inverts_rewrite(case):
+    (table, tr, basis), factors = case
+    h = s.expand(basis, factors)
+    assert s.expand(basis, s.rewrite(table, tr, basis, h)) == h
+
+
+@given(basis_and_factors(), st.integers(0, 24), st.sampled_from((0, 3, -1)))
+def test_expand_rejects_out_of_range_index(case, where, offset):
+    (_, _, basis), factors = case
+    bad = len(basis.elements) + offset if offset >= 0 else offset
+    factors = list(factors)
+    factors.insert(min(where, len(factors)), (bad, 1))
+    with pytest.raises(ValueError, match="out of range"):
+        s.expand(basis, factors)
+
+
+def test_kernel_outputs_share_letter_objects():
+    ab = ALPHABETS[1]
+    words = [s.parse("a b^-1 a", ab), s.reduce(ab, [(0, 1), (1, -1), (0, 1)]),
+             s.Word(ab, ((0, 1), (1, -1), (0, 1))), s.invert(s.invert(s.parse("a b^-1 a", ab)))]
+    for w in words[1:]:
+        assert all(x is y for x, y in zip(w.letters, words[0].letters))
+    assert all(type(lt) is s.Letter for w in words for lt in w.letters)

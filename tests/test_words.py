@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -73,6 +74,8 @@ def test_prefixes():
     ("x * y^-2", "x y^-2"),
     ("  x   y  ", "x y"),
     ("x^2 y x^-2", "x^2 y x^-2"),
+    ("x y^2 y^-2 x^-1 y", "y"),
+    ("x^2 y y^-1 x^-3 y", "x^-1 y"),
 ])
 def test_parse_and_format(text, expected):
     assert str(s.parse(text, XY)) == expected
@@ -161,3 +164,14 @@ def test_words_are_hashable_values():
     w2 = s.concat(s.parse("x", XY), s.parse("y", XY))
     assert w1 == w2 and hash(w1) == hash(w2)
     assert len({w1, w2}) == 1
+
+
+def test_parse_folds_exponents_before_building_letters():
+    tracemalloc.start()
+    try:
+        w = XY.word("x^100000 x^-100000 y")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(w) == "y"
+    assert peak < 1_000_000
