@@ -92,17 +92,23 @@ class FiniteAction:
                 )
 
     @cached_property
-    def _inverse_perms(self) -> tuple[Permutation, ...]:
-        return tuple(p.inverse for p in self.gen_perms)
+    def _steps(self) -> dict[Letter, tuple[int, ...]]:
+        # One image tuple per signed generator, keyed by the alphabet's
+        # shared letters in shortlex letter order, so a letter acts by a
+        # single lookup with no branch on its sign.
+        steps = {}
+        for lt in self.alphabet._letters:
+            perm = self.gen_perms[lt.gen]
+            steps[lt] = (perm if lt.sign > 0 else perm.inverse).images
+        return steps
 
     def step(self, point: int, letter: Letter) -> int:
         """Image of a point under a single signed letter."""
-        perm = self.gen_perms[letter.gen] if letter.sign > 0 else self._inverse_perms[letter.gen]
-        return perm(point)
+        return self._steps[letter][point]
 
 
 def _check_word(act: FiniteAction, w: Word) -> None:
-    if w.alphabet != act.alphabet:
+    if w.alphabet is not act.alphabet and w.alphabet != act.alphabet:
         raise ValueError("alphabet mismatch")
 
 
@@ -113,20 +119,24 @@ def _check_point(act: FiniteAction, point: int) -> None:
 
 def evaluate(act: FiniteAction, point: int, w: Word) -> int:
     """Apply a word to a point, letters left to right."""
-    _check_word(act, w)
-    _check_point(act, point)
+    # The two guards are inlined: this is the per-point hot path.
+    if w.alphabet is not act.alphabet and w.alphabet != act.alphabet:
+        raise ValueError("alphabet mismatch")
+    if not 0 <= point < act.degree:
+        raise ValueError(f"point {point} out of range for degree {act.degree}")
+    steps = act._steps
     for lt in w.letters:
-        point = act.step(point, lt)
+        point = steps[lt][point]
     return point
 
 
 def perm_of_word(act: FiniteAction, w: Word) -> Permutation:
     """The permutation a word induces on all points at once."""
     _check_word(act, w)
-    images = list(range(act.degree))
+    steps = act._steps
+    images = range(act.degree)
     for lt in w.letters:
-        perm = act.gen_perms[lt.gen] if lt.sign > 0 else act._inverse_perms[lt.gen]
-        images = [perm(p) for p in images]
+        images = list(map(steps[lt].__getitem__, images))
     return Permutation(tuple(images))
 
 
@@ -137,18 +147,15 @@ def orbit(act: FiniteAction, base: int) -> list[int]:
     before the negative one, so the order is deterministic.
     """
     _check_point(act, base)
+    steps = tuple(act._steps.values())  # in shortlex letter order
     seen = {base}
     out = [base]
-    pos = 0
-    while pos < len(out):
-        p = out[pos]
-        pos += 1
-        for g in range(len(act.alphabet)):
-            for sign in (1, -1):
-                q = act.step(p, Letter(g, sign))
-                if q not in seen:
-                    seen.add(q)
-                    out.append(q)
+    for p in out:  # out grows as it is scanned: it is the BFS queue
+        for images in steps:
+            q = images[p]
+            if q not in seen:
+                seen.add(q)
+                out.append(q)
     return out
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from . import words
 from .actions import evaluate
-from .cosets import CosetTable, SchreierTransversal, coset_of
+from .cosets import CosetTable, SchreierTransversal
 from .words import Alphabet, Word
 
 __all__ = [
@@ -116,6 +116,6 @@ def degenerate_pair_of_rep(table: CosetTable, transversal: SchreierTransversal, 
         raise ValueError("coset 0 has the empty representative")
     last = r.letters[-1]
     if last.sign > 0:
-        parent = Word(r.alphabet, r.letters[:-1])
-        return (coset_of(table, parent), last.gen)
+        # The parent rep's coset is one inverse step back from c.
+        return (table.step(c, r.alphabet._inverse[last]), last.gen)
     return (c, last.gen)

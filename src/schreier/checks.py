@@ -47,16 +47,19 @@ def _random_perm(rng: random.Random, degree: int) -> Permutation:
 
 def _random_word(rng: random.Random, alphabet, max_len: int) -> Word:
     length = rng.randint(0, max_len)
+    # After each letter, every letter but its inverse may follow, in
+    # shortlex letter order.
+    follow = {lt: [x for x in alphabet._letters if x is not alphabet._inverse[lt]]
+              for lt in alphabet._letters}
+    options = alphabet._letters
     letters: list[Letter] = []
     for _ in range(length):
-        options = [Letter(g, s) for g in range(len(alphabet)) for s in (1, -1)]
-        if letters:
-            last = letters[-1]
-            options = [lt for lt in options if not (lt.gen == last.gen and lt.sign == -last.sign)]
         if not options:
             break
-        letters.append(rng.choice(options))
-    return Word(alphabet, tuple(letters))
+        lt = rng.choice(options)
+        letters.append(lt)
+        options = follow[lt]
+    return words._word(alphabet, tuple(letters))
 
 
 def _random_raw(rng: random.Random, alphabet, max_len: int) -> list[tuple[int, int]]:
@@ -197,17 +200,16 @@ def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: in
         have = set(transversal.reps)
         for r in transversal.reps:
             for pfx in words.prefixes(r):
-                _require(pfx in have, f"prefix {pfx} of {r} is not a representative")
+                if pfx not in have:
+                    raise _CheckFailure(f"prefix {pfx} of {r} is not a representative")
 
     check("transversal-prefix-closed", transversal_prefix_closed)
 
     def transversal_consistent():
         _require(len(set(transversal.reps)) == m, "representatives are not distinct")
         for c, r in enumerate(transversal.reps):
-            _require(
-                evaluate(act, basepoint, r) == table.points[c],
-                f"rep {r} does not reach its coset point",
-            )
+            if evaluate(act, basepoint, r) != table.points[c]:
+                raise _CheckFailure(f"rep {r} does not reach its coset point")
 
     check("transversal-consistent", transversal_consistent)
 
@@ -220,12 +222,14 @@ def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: in
                 if c not in first:
                     first[c] = w
             for c, r in enumerate(transversal.reps):
-                _require(first[c] == r, f"coset {c}: {first[c]} is smaller than rep {r}")
+                if first[c] != r:
+                    raise _CheckFailure(f"coset {c}: {first[c]} is smaller than rep {r}")
             return f"exhaustive up to length {longest}"
         for _ in range(trials):
             w = rand_word()
             r = rep(table, transversal, w)
-            _require(r.shortlex_key() <= w.shortlex_key(), f"rep {r} is not minimal against {w}")
+            if r.shortlex_key() > w.shortlex_key():
+                raise _CheckFailure(f"rep {r} is not minimal against {w}")
         return "sampled (instance too large for an exhaustive scan)"
 
     check("transversal-shortlex-minimal", transversal_shortlex_minimal)
@@ -259,10 +263,8 @@ def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: in
 
     def basis_membership():
         for e in basis.elements:
-            _require(
-                evaluate(act, basepoint, e.word) == basepoint,
-                f"basis word {e.word} does not fix the basepoint",
-            )
+            if evaluate(act, basepoint, e.word) != basepoint:
+                raise _CheckFailure(f"basis word {e.word} does not fix the basepoint")
 
     check("basis-membership", basis_membership)
 
@@ -278,8 +280,8 @@ def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: in
     def rewrite_roundtrip():
         for _ in range(trials):
             h = rand_h()
-            _require(expand(basis, rewrite(table, transversal, basis, h)) == h,
-                     f"round trip failed for {h}")
+            if expand(basis, rewrite(table, transversal, basis, h)) != h:
+                raise _CheckFailure(f"round trip failed for {h}")
 
     check("rewrite-roundtrip", rewrite_roundtrip)
 
@@ -297,10 +299,8 @@ def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: in
 
     def rewrite_basis_fidelity():
         for k, e in enumerate(basis.elements):
-            _require(
-                rewrite(table, transversal, basis, e.word).factors == ((k, 1),),
-                f"basis word {k} does not rewrite to itself",
-            )
+            if rewrite(table, transversal, basis, e.word).factors != ((k, 1),):
+                raise _CheckFailure(f"basis word {k} does not rewrite to itself")
 
     check("rewrite-basis-fidelity", rewrite_basis_fidelity)
 
@@ -312,8 +312,10 @@ def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: in
                 continue
             count += 1
             bw = rewrite(table, transversal, basis, w)
-            _require((len(bw) == 0) == w.is_identity(), f"empty rewrite for nonidentity {w}")
-            _require(expand(basis, bw) == w, f"round trip failed for {w}")
+            if (len(bw) == 0) != w.is_identity():
+                raise _CheckFailure(f"empty rewrite for nonidentity {w}")
+            if expand(basis, bw) != w:
+                raise _CheckFailure(f"round trip failed for {w}")
         return f"{count} stabilizer elements up to length {bound}"
 
     check("rewrite-empty-iff-identity", rewrite_empty_iff_identity)
@@ -363,9 +365,10 @@ def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: in
         for _ in range(trials):
             w = rand_word()
             for c in range(m):
+                expected = table.trace(c, w)
                 for a in range(h_degree):
                     _, c2 = ind.decode(evaluate(ind.base, ind.encode(a, c), w))
-                    _require(c2 == table.trace(c, w), "coset coordinate strayed from the table")
+                    _require(c2 == expected, "coset coordinate strayed from the table")
 
     check("induce-coset-equivariance", induce_coset_equivariance)
 

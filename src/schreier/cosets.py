@@ -40,22 +40,27 @@ class CosetTable:
         return len(self.points)
 
     @cached_property
-    def _inverse_transitions(self) -> tuple[tuple[int, ...], ...]:
-        n = len(self.action.alphabet)
-        inv = [[0] * n for _ in range(self.num_cosets)]
-        for c, row in enumerate(self.transitions):
-            for g, c2 in enumerate(row):
-                inv[c2][g] = c
-        return tuple(tuple(r) for r in inv)
+    def _steps(self) -> dict[Letter, tuple[int, ...]]:
+        # Like FiniteAction._steps: one coset image tuple per signed
+        # generator, keyed by the alphabet's shared letters.
+        steps = {}
+        letters = self.action.alphabet._letters
+        for g, forward in enumerate(zip(*self.transitions)):
+            backward = [0] * self.num_cosets
+            for c, c2 in enumerate(forward):
+                backward[c2] = c
+            steps[letters[2 * g]] = forward
+            steps[letters[2 * g + 1]] = tuple(backward)
+        return steps
 
     def step(self, c: int, letter: Letter) -> int:
-        table = self.transitions if letter.sign > 0 else self._inverse_transitions
-        return table[c][letter.gen]
+        return self._steps[letter][c]
 
     def trace(self, c: int, w: Word) -> int:
         """Coset reached from c by the letters of w."""
+        steps = self._steps
         for lt in w.letters:
-            c = self.step(c, lt)
+            c = steps[lt][c]
         return c
 
 
@@ -76,25 +81,21 @@ def build_table(act: FiniteAction, basepoint: int) -> tuple[CosetTable, Schreier
     """
     if not 0 <= basepoint < act.degree:
         raise ValueError(f"basepoint {basepoint} out of range for degree {act.degree}")
-    n = len(act.alphabet)
+    steps = tuple(act._steps.items())  # in shortlex letter order
     points = [basepoint]
     index = {basepoint: 0}
     reps = [words.identity(act.alphabet)]
-    pos = 0
-    while pos < len(points):
-        p = points[pos]
-        for lt in act.alphabet._letters:  # in shortlex letter order
-            q = act.step(p, lt)
+    for pos, p in enumerate(points):  # points grows as it is scanned
+        for lt, images in steps:
+            q = images[p]
             if q not in index:
                 index[q] = len(points)
                 points.append(q)
                 # Never cancels: undoing the last letter of reps[pos]
                 # leads back to its parent coset, which is indexed.
                 reps.append(words._word(act.alphabet, reps[pos].letters + (lt,)))
-        pos += 1
-    transitions = tuple(
-        tuple(index[act.gen_perms[g](p)] for g in range(n)) for p in points
-    )
+    forward = [perm.images for perm in act.gen_perms]
+    transitions = tuple(tuple(index[images[p]] for images in forward) for p in points)
     table = CosetTable(act, basepoint, tuple(points), transitions)
     return table, SchreierTransversal(tuple(reps))
 

@@ -71,12 +71,13 @@ def rewrite(table: CosetTable, transversal: SchreierTransversal, basis: Schreier
     """
     if w.alphabet != table.action.alphabet:
         raise ValueError("alphabet mismatch")
+    steps = table._steps
+    index = basis.index
     factors: list[tuple[int, int]] = []
     c = 0
     for lt in w.letters:
-        nxt = table.step(c, lt)
-        pair = (c, lt.gen) if lt.sign > 0 else (nxt, lt.gen)
-        k = basis.index[pair]
+        nxt = steps[lt][c]
+        k = index[(c, lt.gen) if lt.sign > 0 else (nxt, lt.gen)]
         if k is not None:
             if factors and factors[-1] == (k, -lt.sign):
                 factors.pop()

@@ -84,6 +84,24 @@ def test_evaluate_rejects_bad_input():
         s.evaluate(CYCLE3, 0, s.parse("x", s.Alphabet(("x",))))
     with pytest.raises(ValueError, match="out of range"):
         s.evaluate(CYCLE3, 3, s.parse("x", CYCLE3.alphabet))
+    with pytest.raises(ValueError, match="out of range"):
+        s.evaluate(CYCLE3, -1, s.parse("x", CYCLE3.alphabet))
+
+
+def test_equal_alphabet_objects_are_interchangeable():
+    # An equal Alphabet that is a distinct object passes the guards.
+    twin = s.Alphabet(CYCLE3.alphabet.names)
+    assert twin is not CYCLE3.alphabet
+    w = s.parse("x y x^-2", twin)
+    native = s.parse("x y x^-2", CYCLE3.alphabet)
+    assert s.evaluate(CYCLE3, 1, w) == s.evaluate(CYCLE3, 1, native) == 0
+    assert s.perm_of_word(CYCLE3, w) == s.perm_of_word(CYCLE3, native)
+    table, tr = s.build_table(CYCLE3, 0)
+    basis = s.compute_basis(table, tr)
+    assert s.coset_of(table, w) == s.coset_of(table, native) == 2
+    h = s.parse("x y x^-1", twin)
+    assert s.contains(table, h)
+    assert s.rewrite(table, tr, basis, h) == s.rewrite(table, tr, basis, s.parse("x y x^-1", CYCLE3.alphabet))
 
 
 def test_orbit_and_transitivity():

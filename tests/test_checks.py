@@ -1,6 +1,8 @@
+import dataclasses
 import random
 
 import schreier as s
+import schreier.checks
 from helpers import make_action, random_transitive_perms
 
 EXPECTED_NAMES = [
@@ -77,3 +79,37 @@ def test_nonzero_basepoint():
     act = make_action(("x",), [[1, 2, 0]])
     results = s.run_checks(act, basepoint=1, trials=20)
     assert all(r.passed for r in results)
+
+
+def _failures_with(monkeypatch, tamper):
+    """run_checks on the 3-cycle, with build_table's output passed through tamper."""
+    real = schreier.checks.build_table
+
+    def build_table(act, basepoint):
+        return tamper(*real(act, basepoint))
+
+    monkeypatch.setattr(schreier.checks, "build_table", build_table)
+    act = make_action(("x", "y"), [[1, 2, 0], [0, 1, 2]])
+    return {r.name: r.detail for r in s.run_checks(act, trials=20) if not r.passed}
+
+
+def test_run_checks_reports_a_table_with_swapped_points(monkeypatch):
+    def swap_points(table, tr):
+        p = table.points
+        return dataclasses.replace(table, points=(p[0], p[2], p[1])), tr
+
+    assert _failures_with(monkeypatch, swap_points) == {
+        "transversal-consistent": "rep x does not reach its coset point",
+    }
+
+
+def test_run_checks_reports_a_representative_that_is_not_shortlex_least(monkeypatch):
+    # 1, x, x^2 is still a prefix-closed transversal, so the basis and the
+    # induced action build; only the minimality check can see the change.
+    def replace_rep(table, tr):
+        reps = tr.reps
+        return table, s.SchreierTransversal((reps[0], reps[1], s.concat(reps[1], reps[1])))
+
+    assert _failures_with(monkeypatch, replace_rep) == {
+        "transversal-shortlex-minimal": "coset 2: x^-1 is smaller than rep x^2",
+    }

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 import schreier as s
-from helpers import brute_reduce, expand_pairs, make_action, pairs_of_word, random_transitive_perms
+from helpers import (
+    brute_reduce,
+    ev_pairs,
+    expand_pairs,
+    make_action,
+    pairs_of_word,
+    random_transitive_perms,
+)
 
 ALPHABETS = [s.Alphabet(tuple("abc"[:n])) for n in (1, 2, 3)]
 
@@ -134,3 +141,38 @@ def test_kernel_outputs_share_letter_objects():
     for w in words[1:]:
         assert all(x is y for x, y in zip(w.letters, words[0].letters))
     assert all(type(lt) is s.Letter for w in words for lt in w.letters)
+
+
+@st.composite
+def action_and_word(draw):
+    """Any action (transitive or not) and a word with inverse letters."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    perms = [list(draw(st.permutations(range(m)))) for _ in range(n)]
+    act = make_action(("x", "y", "z")[:n], perms)
+    w = s.reduce(act.alphabet, draw(_raw(n, max_size=16)))
+    return perms, act, w, draw(st.integers(0, m - 1))
+
+
+@given(action_and_word())
+def test_action_kernels_agree_with_ev_pairs(case):
+    perms, act, w, p = case
+    pairs = pairs_of_word(w)
+    assert s.evaluate(act, p, w) == ev_pairs(perms, p, pairs)
+    assert s.perm_of_word(act, w).images == tuple(ev_pairs(perms, q, pairs) for q in range(act.degree))
+    for g in range(len(act.alphabet)):
+        for sign in (1, -1):
+            # Fresh letters, not only the alphabet's shared ones.
+            assert act.step(p, s.Letter(g, sign)) == ev_pairs(perms, p, ((g, sign),))
+
+
+@given(action_and_word())
+def test_coset_kernels_agree_with_ev_pairs(case):
+    perms, act, w, base = case
+    table, _ = s.build_table(act, base)
+    coset_of_point = {q: c for c, q in enumerate(table.points)}
+    pairs = pairs_of_word(w)
+    for c, q in enumerate(table.points):
+        assert table.trace(c, w) == coset_of_point[ev_pairs(perms, q, pairs)]
+        for g in range(len(act.alphabet)):
+            for sign in (1, -1):
+                assert table.step(c, s.Letter(g, sign)) == coset_of_point[ev_pairs(perms, q, ((g, sign),))]
