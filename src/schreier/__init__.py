@@ -29,7 +29,6 @@ from .basis import (
     compute_basis,
     degenerate_count,
     degenerate_pair_of_rep,
-    schreier_formula_check,
 )
 from .checks import CheckResult, run_checks
 from .cosets import CosetTable, SchreierTransversal, build_table, coset_of, rep
@@ -108,7 +107,6 @@ __all__ = [
     "restrict_to_h",
     "rewrite",
     "run_checks",
-    "schreier_formula_check",
     "single",
     "tensor_action_generic",
     "write_action_file",

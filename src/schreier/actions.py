@@ -25,6 +25,10 @@ __all__ = [
 ]
 
 
+# Largest degree ``parse_action_text`` accepts; a file with no generators can claim any.
+MAX_DEGREE = 1_000_000
+
+
 class ActionParseError(ValueError):
     """Raised when an action file does not match the file format."""
 
@@ -187,6 +191,8 @@ def parse_action_text(text: str) -> FiniteAction:
         raise ActionParseError(f"line {lineno}: bad degree {fields[1]!r}") from None
     if degree < 1:
         raise ActionParseError(f"line {lineno}: degree must be at least 1")
+    if degree > MAX_DEGREE:
+        raise ActionParseError(f"line {lineno}: degree more than the limit of {MAX_DEGREE}")
 
     if len(rows) < 2 or rows[1][1][0] != "generators":
         raise ActionParseError("expected a 'generators' line after the degree")

@@ -1,17 +1,15 @@
 """The free basis of a basepoint stabilizer.
 
 For every coset representative t and generator x, the element
-t x (rep(tx))^-1 fixes the basepoint.  The nonidentity ones form a free
-generating set of the stabilizer; pairs that collapse to the identity
-are recorded as degenerate.  Exactly one degenerate pair corresponds to
-each nonempty representative, so there are m - 1 of them and the basis
-has 1 + m(n - 1) elements.
+t x (rep(tx))^-1 fixes the basepoint.  A Schreier transversal is a
+spanning tree of the Schreier graph: each nonempty rep is its parent's
+plus one tree edge.  The m - 1 tree edges are exactly the pairs that
+collapse to 1; the other pairs give a free basis of 1 + m(n - 1) words.
 """
 
 from dataclasses import dataclass, field
 
 from . import words
-from .actions import evaluate
 from .cosets import CosetTable, SchreierTransversal
 from .words import Alphabet, Word
 
@@ -22,12 +20,13 @@ __all__ = [
     "compute_basis",
     "degenerate_count",
     "degenerate_pair_of_rep",
-    "schreier_formula_check",
 ]
+
+_NOT_SCHREIER = "not a Schreier transversal of this table"
 
 
 class InvariantError(AssertionError):
-    """A theorem of the construction failed on this input.
+    """The input breaks a precondition or a theorem of the construction.
 
     Raised explicitly, so unlike ``assert`` it survives ``python -O``.
     """
@@ -39,7 +38,6 @@ class BasisElement:
 
     coset: int
     gen: int
-    t: Word
     word: Word
 
 
@@ -59,43 +57,27 @@ class SchreierBasis:
 
 
 def compute_basis(table: CosetTable, transversal: SchreierTransversal) -> SchreierBasis:
-    """Enumerate all (coset, generator) pairs and keep the nonidentity words.
+    """One basis word per (coset, generator) pair that is not a tree edge.
 
-    The counting and distinctness facts are theorems for any Schreier
-    transversal; they are checked here so a violation raises
-    :class:`InvariantError`.
+    Raises InvariantError unless ``transversal`` is a Schreier transversal
+    of ``table``.  Words need no reduction: t x rep(tx)^-1 cancels only if
+    t ends in x^-1 or rep(tx) ends in x, either making (t, x) a tree edge.
     """
-    act = table.action
-    n = len(act.alphabet)
-    m = table.num_cosets
+    alphabet = table.action.alphabet
+    tree = set(_tree_edges(table, transversal))
+    inverses = [words._inverse_letters(alphabet, r.letters) for r in transversal.reps]
     elements: list[BasisElement] = []
     index: dict[tuple[int, int], int | None] = {}
-    for c in range(m):
-        t = transversal.reps[c]
-        for g in range(n):
-            u = transversal.reps[table.transitions[c][g]]
-            word = words.concat(words.concat(t, words.single(act.alphabet, g)), words.invert(u))
-            if word.is_identity():
+    for c, row in enumerate(table.transitions):
+        t = transversal.reps[c].letters
+        for g, c2 in enumerate(row):
+            if (c, g) in tree:
                 index[(c, g)] = None
             else:
                 index[(c, g)] = len(elements)
-                elements.append(BasisElement(c, g, t, word))
-    basis = SchreierBasis(act.alphabet, m, tuple(elements), index)
-
-    if len(elements) != 1 + m * (n - 1):
-        raise InvariantError("Schreier count violated")
-    if degenerate_count(basis) != m - 1:
-        raise InvariantError("degenerate count violated")
-    if len({e.word for e in elements}) != len(elements):
-        raise InvariantError("basis words not distinct")
-    if not all(evaluate(act, table.basepoint, e.word) == table.basepoint for e in elements):
-        raise InvariantError("basis word does not fix the basepoint")
-    return basis
-
-
-def schreier_formula_check(basis: SchreierBasis, m: int, n: int) -> bool:
-    """Whether the basis size matches 1 + m(n-1)."""
-    return len(basis.elements) == 1 + m * (n - 1)
+                word = words._word(alphabet, t + (alphabet._letters[2 * g],) + inverses[c2])
+                elements.append(BasisElement(c, g, word))
+    return SchreierBasis(alphabet, table.num_cosets, tuple(elements), index)
 
 
 def degenerate_count(basis: SchreierBasis) -> int:
@@ -104,18 +86,29 @@ def degenerate_count(basis: SchreierBasis) -> int:
 
 
 def degenerate_pair_of_rep(table: CosetTable, transversal: SchreierTransversal, c: int) -> tuple[int, int]:
-    """The degenerate (coset, generator) pair owned by the nonempty rep at c.
+    """The tree edge into coset c: its degenerate (coset, generator) pair.
 
-    A representative ending in x is u x with u the parent rep, and the
-    pair (coset of u, x) is degenerate; one ending in x^-1 makes its own
-    pair (c, x) degenerate.  Over all nonempty reps this is a bijection
-    onto the degenerate pairs.
+    The rep at c must be its parent's rep plus one letter, the parent
+    being one inverse step back in the table, else :class:`InvariantError`.
+    The edge is (parent, x) for a last letter x, and (c, x) for x^-1.
     """
-    r = transversal.reps[c]
-    if r.is_identity():
+    if c == 0:
         raise ValueError("coset 0 has the empty representative")
+    r = transversal.reps[c]
+    if r.alphabet is not table.action.alphabet and r.alphabet != table.action.alphabet:
+        raise ValueError("alphabet mismatch")
+    if not r.letters:
+        raise InvariantError(_NOT_SCHREIER)
     last = r.letters[-1]
-    if last.sign > 0:
-        # The parent rep's coset is one inverse step back from c.
-        return (table.step(c, r.alphabet._inverse[last]), last.gen)
-    return (c, last.gen)
+    parent = table.step(c, r.alphabet._inverse[last])
+    if r.letters[:-1] != transversal.reps[parent].letters:
+        raise InvariantError(_NOT_SCHREIER)
+    return (parent, last.gen) if last.sign > 0 else (c, last.gen)
+
+
+def _tree_edges(table: CosetTable, transversal: SchreierTransversal) -> list[tuple[int, int]]:
+    """The m - 1 tree edges in coset order, checking the whole transversal."""
+    reps = transversal.reps
+    if len(reps) != table.num_cosets or reps[0].letters:
+        raise InvariantError(_NOT_SCHREIER)
+    return [degenerate_pair_of_rep(table, transversal, c) for c in range(1, len(reps))]

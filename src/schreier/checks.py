@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from . import words
 from .actions import FiniteAction, Permutation, evaluate, perm_of_word
-from .basis import compute_basis, degenerate_count, degenerate_pair_of_rep, schreier_formula_check
+from .basis import compute_basis, degenerate_count
 from .cosets import build_table, coset_of, rep
 from .induce import HAction, check_claim, induce, restrict_to_h, tensor_action_generic
 from .rewrite import NotInSubgroupError, contains, expand, rewrite
@@ -248,7 +248,7 @@ def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: in
 
     # basis -----------------------------------------------------------------
     def basis_count():
-        _require(schreier_formula_check(basis, m, n), "basis size is not 1 + m(n-1)")
+        _require(len(basis.elements) == 1 + m * (n - 1), "basis size is not 1 + m(n-1)")
         _require(degenerate_count(basis) == m - 1, "degenerate pair count is not m - 1")
         return f"|B| = {len(basis.elements)}, degenerate = {degenerate_count(basis)}"
 
@@ -269,10 +269,13 @@ def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: in
     check("basis-membership", basis_membership)
 
     def basis_degenerate_bijection():
-        degenerate = {pair for pair, k in basis.index.items() if k is None}
-        assigned = {degenerate_pair_of_rep(table, transversal, c) for c in range(1, m)}
-        _require(len(assigned) == m - 1, "rep-to-pair map is not injective")
-        _require(assigned == degenerate, "rep-to-pair map misses a degenerate pair")
+        # Word arithmetic, not the tree edges compute_basis reads.
+        for c, t in enumerate(transversal.reps):
+            for g, c2 in enumerate(table.transitions[c]):
+                word = words.concat(words.concat(t, words.single(alphabet, g)), words.invert(transversal.reps[c2]))
+                k = basis.index[(c, g)]
+                if word != (basis.elements[k].word if k is not None else words.identity(alphabet)):
+                    raise _CheckFailure(f"pair ({c}, {g}) does not match its word {word}")
 
     check("basis-degenerate-bijection", basis_degenerate_bijection)
 

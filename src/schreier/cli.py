@@ -60,19 +60,13 @@ def _load_action(args):
     return act
 
 
-def _check_base(act, base: int) -> None:
-    if not 0 <= base < act.degree:
-        raise ValueError(f"basepoint {base} out of range for degree {act.degree}")
-
-
 def _setup(args):
     act = _load_action(args)
-    _check_base(act, args.base)
     table, transversal = build_table(act, args.base)
     return act, table, transversal
 
 
-def _emit(args, obj) -> None:
+def _emit(obj) -> None:
     print(json.dumps(obj))
 
 
@@ -80,7 +74,7 @@ def _cmd_reduce(args) -> int:
     alphabet = _alphabet_from_spec(args.generators)
     w = words.parse(args.word, alphabet)
     if args.format == "structured":
-        _emit(args, {"word": str(w)})
+        _emit({"word": str(w)})
     else:
         print(w)
     return 0
@@ -94,13 +88,13 @@ def _cmd_act(args) -> int:
             raise ValueError(f"point {args.point} out of range for degree {act.degree}")
         image = evaluate(act, args.point, w)
         if args.format == "structured":
-            _emit(args, {"point": args.point, "image": image})
+            _emit({"point": args.point, "image": image})
         else:
             print(image)
         return 0
     p = perm_of_word(act, w)
     if args.format == "structured":
-        _emit(args, {"images": list(p.images)})
+        _emit({"images": list(p.images)})
     else:
         print(" ".join(str(i) for i in p.images))
     return 0
@@ -110,7 +104,7 @@ def _cmd_transversal(args) -> int:
     _, table, transversal = _setup(args)
     for c, r in enumerate(transversal.reps):
         if args.format == "structured":
-            _emit(args, {"coset": c, "rep": str(r)})
+            _emit({"coset": c, "rep": str(r)})
         else:
             print(f"{c} {r}")
     return 0
@@ -124,12 +118,12 @@ def _cmd_basis(args) -> int:
         t = transversal.reps[e.coset]
         name = act.alphabet.names[e.gen]
         if args.format == "structured":
-            _emit(args, {"index": k, "rep": str(t), "generator": name, "word": str(e.word)})
+            _emit({"index": k, "rep": str(t), "generator": name, "word": str(e.word)})
         else:
             print(f"{k} {t} {name} {e.word}")
     expected = 1 + m * (n - 1)
     if args.format == "structured":
-        _emit(args, {"count": len(basis.elements), "expected": expected,
+        _emit({"count": len(basis.elements), "expected": expected,
                      "degenerate": degenerate_count(basis)})
     else:
         print(f"count {len(basis.elements)} expected {expected} degenerate {degenerate_count(basis)}")
@@ -142,12 +136,12 @@ def _cmd_member(args) -> int:
     c = coset_of(table, w)
     if c == 0:
         if args.format == "structured":
-            _emit(args, {"member": True})
+            _emit({"member": True})
         else:
             print(_paint("yes", _GREEN))
         return 0
     if args.format == "structured":
-        _emit(args, {"member": False, "final_coset": c})
+        _emit({"member": False, "final_coset": c})
     else:
         print(f"{_paint('no', _RED)} {c}")
     return 1
@@ -161,7 +155,7 @@ def _cmd_rewrite(args) -> int:
     tokens = " ".join(f"b{k}" if s > 0 else f"b{k}^-1" for k, s in bw.factors)
     expanded = expand(basis, bw)
     if args.format == "structured":
-        _emit(args, {"factors": [[k, s] for k, s in bw.factors],
+        _emit({"factors": [[k, s] for k, s in bw.factors],
                      "tokens": tokens or "1", "expanded": str(expanded)})
     else:
         print(tokens or "1")
@@ -175,7 +169,7 @@ def _cmd_induce(args) -> int:
     sigma = haction_from_action(read_action_file(args.h_action_file), basis)
     ind = induce(sigma, table, transversal, basis)
     if args.format == "structured":
-        _emit(args, {
+        _emit({
             "degree": ind.base.degree,
             "generators": list(ind.base.alphabet.names),
             "perms": {name: list(p.images)
@@ -188,19 +182,18 @@ def _cmd_induce(args) -> int:
 
 def _cmd_check(args) -> int:
     act = _load_action(args)
-    _check_base(act, args.base)
     results = run_checks(act, basepoint=args.base, max_len=args.max_len,
                          seed=args.seed, trials=args.trials)
     for r in results:
         if args.format == "structured":
-            _emit(args, {"name": r.name, "passed": r.passed, "detail": r.detail})
+            _emit({"name": r.name, "passed": r.passed, "detail": r.detail})
             continue
         verdict = _paint("pass", _GREEN) if r.passed else _paint("fail", _RED)
         suffix = f" ({r.detail})" if r.detail else ""
         print(f"{verdict} {r.name}{suffix}")
     failed = sum(1 for r in results if not r.passed)
     if args.format == "structured":
-        _emit(args, {"checked": len(results), "passed": len(results) - failed, "failed": failed})
+        _emit({"checked": len(results), "passed": len(results) - failed, "failed": failed})
     else:
         print(f"checked {len(results)} invariants: {len(results) - failed} passed, {failed} failed")
     return 0 if failed == 0 else 1

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import words
 from .actions import ActionParseError, FiniteAction, Permutation, evaluate
-from .basis import InvariantError, SchreierBasis
+from .basis import InvariantError, SchreierBasis, _tree_edges
 from .cosets import CosetTable, SchreierTransversal, coset_of
 from .rewrite import rewrite
 from .words import Word
@@ -68,6 +68,9 @@ def induce(sigma: HAction, table: CosetTable, transversal: SchreierTransversal, 
         raise ValueError(
             f"H-action has {len(sigma.perms)} permutations, basis has {len(basis.elements)} elements"
         )
+    # Reps walk tree edges only, so they leave A alone iff those are degenerate.
+    if any(basis.index[pair] is not None for pair in _tree_edges(table, transversal)):
+        raise InvariantError("transversal words must move cosets without touching A")
     m = table.num_cosets
     d = sigma.degree
     gen_perms = []
@@ -80,10 +83,7 @@ def induce(sigma: HAction, table: CosetTable, transversal: SchreierTransversal, 
                 a2 = sigma.perms[k](a) if k is not None else a
                 images[a + d * c] = a2 + d * c2
         gen_perms.append(Permutation(tuple(images)))
-    ind = InducedAction(FiniteAction(table.action.alphabet, d * m, tuple(gen_perms)), d, m)
-    if not check_claim(ind, transversal):
-        raise InvariantError("transversal words must move cosets without touching A")
-    return ind
+    return InducedAction(FiniteAction(table.action.alphabet, d * m, tuple(gen_perms)), d, m)
 
 
 def check_claim(ind: InducedAction, transversal: SchreierTransversal) -> bool:

@@ -27,6 +27,9 @@ __all__ = [
     "single",
 ]
 
+# Most letters ``parse`` builds, counted after folding: ``x^2000000000`` fails fast.
+MAX_WORD_LENGTH = 1_000_000
+
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _NAME_SCAN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT_SCAN_RE = re.compile(r"[+-]?[0-9]+")
@@ -273,6 +276,8 @@ def parse(text: str, alphabet: Alphabet) -> Word:
                 raise WordParseError("empty factor after '*'")
         elif pos == sep_start:
             raise WordParseError(f"missing separator at position {pos}")
+    if sum(abs(k) for _, k in runs) > MAX_WORD_LENGTH:
+        raise WordParseError(f"word longer than the limit of {MAX_WORD_LENGTH} letters")
     letters: list[Letter] = []
     for gen, k in runs:
         letters.extend([alphabet._letters[2 * gen + (k < 0)]] * abs(k))

@@ -162,3 +162,11 @@ def test_write_read_action_file(tmp_path):
     path = tmp_path / "act.txt"
     s.write_action_file(path, CYCLE3)
     assert s.read_action_file(path) == CYCLE3
+
+
+def test_parse_action_caps_the_degree(monkeypatch):
+    monkeypatch.setattr(s.actions, "MAX_DEGREE", 6)
+    assert s.parse_action_text("degree 6\ngenerators\n").degree == 6
+    for degree in (7, 1000):
+        with pytest.raises(s.ActionParseError, match="more than the limit of 6"):
+            s.parse_action_text(f"degree {degree}\ngenerators\n")

@@ -31,7 +31,7 @@ def test_cycle3_basis():
     assert basis_words(basis) == ["y", "x^3", "x y x^-1", "x^-1 y x"]
     assert degenerate_pairs(basis) == [(0, 0), (2, 0)]
     assert s.degenerate_count(basis) == 2
-    assert s.schreier_formula_check(basis, 3, 2)
+    assert len(basis.elements) == 1 + 3 * (2 - 1)
     # index maps (coset, generator) to the element's position
     assert basis.index[(1, 0)] == 1 and basis.index[(2, 1)] == 3
 
@@ -60,7 +60,7 @@ def test_basis_for_alternate_schreier_transversal():
     basis = s.compute_basis(table, alt)
     assert basis_words(basis) == ["y", "x y x^-1", "x^3", "x^2 y x^-2"]
     assert degenerate_pairs(basis) == [(0, 0), (1, 0)]
-    assert s.schreier_formula_check(basis, 3, 2)
+    assert len(basis.elements) == 1 + 3 * (2 - 1)
     for e in basis.elements:
         assert s.evaluate(CYCLE3, 0, e.word) == 0
 
@@ -98,7 +98,6 @@ def test_element_word_construction():
         t = tr.reps[e.coset]
         u = s.rep(table, tr, s.concat(t, s.single(CYCLE3.alphabet, e.gen)))
         assert e.word == s.concat(s.concat(t, s.single(CYCLE3.alphabet, e.gen)), s.invert(u))
-        assert e.t == t
 
 
 def test_degenerate_pair_of_rep_bijection():
@@ -111,6 +110,41 @@ def test_degenerate_pair_of_rep_bijection():
         assigned = [s.degenerate_pair_of_rep(table, tr, c) for c in range(1, m)]
         assert len(set(assigned)) == m - 1
         assert set(assigned) == set(degenerate_pairs(basis))
+
+
+def test_compute_basis_rejects_a_transversal_that_is_not_prefix_closed():
+    # Every rep reaches its own coset of the 4-cycle, but the prefix x^-1
+    # of x^-2 is not the rep of its coset.
+    act = make_action(("x",), [[1, 2, 3, 0]])
+    table, _ = s.build_table(act, 0)
+    ab = act.alphabet
+    rep_of_point = {0: "1", 1: "x", 2: "x^-2", 3: "x^3"}
+    bad = s.SchreierTransversal(tuple(ab.word(rep_of_point[p]) for p in table.points))
+    assert [s.coset_of(table, r) for r in bad.reps] == [0, 1, 2, 3]
+    with pytest.raises(s.InvariantError, match="not a Schreier transversal"):
+        s.compute_basis(table, bad)
+
+
+def test_compute_basis_and_induce_reject_a_nonempty_first_rep():
+    # y fixes every point, and each other rep is the first plus one letter
+    # into its coset, so only the first rep gives this transversal away.
+    table, tr = s.build_table(CYCLE3, 0)
+    basis = s.compute_basis(table, tr)
+    ab = CYCLE3.alphabet
+    bad = s.SchreierTransversal(tuple(ab.word(t) for t in ("y", "y x", "y x^-1")))
+    sigma = s.HAction(1, (s.Permutation((0,)),) * len(basis.elements))
+    with pytest.raises(s.InvariantError, match="not a Schreier transversal"):
+        s.compute_basis(table, bad)
+    with pytest.raises(s.InvariantError, match="not a Schreier transversal"):
+        s.induce(sigma, table, bad, basis)
+
+
+def test_compute_basis_rejects_reps_over_another_alphabet():
+    table, tr = s.build_table(CYCLE3, 0)
+    other = s.Alphabet(("a", "b"))
+    foreign = s.SchreierTransversal(tuple(s.Word(other, r.letters) for r in tr.reps))
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        s.compute_basis(table, foreign)
 
 
 def test_degenerate_pair_of_rep_rejects_identity_rep():

@@ -113,3 +113,21 @@ def test_run_checks_reports_a_representative_that_is_not_shortlex_least(monkeypa
     assert _failures_with(monkeypatch, replace_rep) == {
         "transversal-shortlex-minimal": "coset 2: x^-1 is smaller than rep x^2",
     }
+
+
+def test_run_checks_reports_basis_words_on_the_wrong_pairs(monkeypatch):
+    # Swapping two basis words keeps a free basis of the same count, so
+    # only checks that tie each word to its (coset, generator) pair see it.
+    real = schreier.checks.compute_basis
+
+    def compute_basis(table, tr):
+        basis = real(table, tr)
+        e = list(basis.elements)
+        e[2], e[3] = dataclasses.replace(e[2], word=e[3].word), dataclasses.replace(e[3], word=e[2].word)
+        return dataclasses.replace(basis, elements=tuple(e))
+
+    monkeypatch.setattr(schreier.checks, "compute_basis", compute_basis)
+    act = make_action(("x", "y"), [[1, 2, 0], [0, 1, 2]])
+    failures = {r.name: r.detail for r in s.run_checks(act, trials=20) if not r.passed}
+    assert failures["basis-degenerate-bijection"] == "pair (1, 1) does not match its word x y x^-1"
+    assert "basis-count" not in failures and "basis-words-distinct" not in failures

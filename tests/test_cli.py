@@ -239,3 +239,14 @@ class _FakeTty:
 class _FakePipe:
     def isatty(self):
         return False
+
+
+def test_input_caps_exit_2(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr("schreier.words.MAX_WORD_LENGTH", 5)
+    monkeypatch.setattr("schreier.actions.MAX_DEGREE", 6)
+    code, _, err = run(capsys, ["reduce", "-g", "x", "x^6"])
+    assert code == 2 and "longer than the limit of 5 letters" in err
+    path = tmp_path / "empty.txt"
+    path.write_text("degree 7\ngenerators\n")
+    code, out, err = run(capsys, ["act", str(path), "1"])
+    assert code == 2 and out == "" and "more than the limit of 6" in err

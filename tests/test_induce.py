@@ -233,11 +233,14 @@ table, tr = s.build_table(act, 0)
 basis = s.compute_basis(table, tr)
 sigma = s.HAction(2, (s.Permutation((1, 0)),) * len(basis.elements))
 swapped = s.SchreierTransversal((tr.reps[0], tr.reps[2], tr.reps[1]))
+# A valid Schreier transversal, but not the one the shortlex basis is for.
+other = s.SchreierTransversal((tr.reps[0], ab.word("x"), ab.word("x^2")))
 x = ab.word("x")
-moving = SchreierBasis(ab, 3, (BasisElement(0, 0, tr.reps[0], x),), {})
+moving = SchreierBasis(ab, 3, (BasisElement(0, 0, x),), {})
 cases = [
-    ("degenerate count violated", lambda: s.compute_basis(table, swapped)),
-    ("without touching A", lambda: s.induce(sigma, table, swapped, basis)),
+    ("not a Schreier transversal", lambda: s.compute_basis(table, swapped)),
+    ("not a Schreier transversal", lambda: s.induce(sigma, table, swapped, basis)),
+    ("without touching A", lambda: s.induce(sigma, table, other, basis)),
     ("moved the coset coordinate",
      lambda: s.restrict_to_h(s.induce(sigma, table, tr, basis), moving)),
 ]
@@ -245,7 +248,9 @@ for message, call in cases:
     try:
         call()
     except s.InvariantError as exc:
-        assert message in str(exc), exc
+        # Not an assert: this script runs under -O, which strips asserts.
+        if message not in str(exc):
+            raise SystemExit(f"wrong message for {message!r}: {exc}")
         print("raised", message)
     else:
         raise SystemExit("no error: " + message)
@@ -257,7 +262,7 @@ def test_invariants_raise_under_python_O():
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-O", "-c", _TAMPERED], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr + proc.stdout
-    assert proc.stdout.count("raised") == 3
+    assert proc.stdout.count("raised") == 4
 
 
 def test_invariant_error_is_an_assertion_error():

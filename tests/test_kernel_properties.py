@@ -13,6 +13,7 @@ from helpers import (
     make_action,
     pairs_of_word,
     random_transitive_perms,
+    word_from_pairs,
 )
 
 ALPHABETS = [s.Alphabet(tuple("abc"[:n])) for n in (1, 2, 3)]
@@ -176,3 +177,82 @@ def test_coset_kernels_agree_with_ev_pairs(case):
         for g in range(len(act.alphabet)):
             for sign in (1, -1):
                 assert table.step(c, s.Letter(g, sign)) == coset_of_point[ev_pairs(perms, q, ((g, sign),))]
+
+
+@st.composite
+def action_with_transversals(draw):
+    """Any action, also of degree 1 or with no generators, with two transversals.
+
+    The second is a BFS tree from the basepoint in a shuffled letter
+    order, so it is a Schreier transversal but rarely the shortlex one.
+    """
+    n, m = draw(st.integers(0, 3)), draw(st.integers(1, 7))
+    perms = [list(draw(st.permutations(range(m)))) for _ in range(n)]
+    act = s.FiniteAction(s.Alphabet(("x", "y", "z")[:n]), m, tuple(s.Permutation(tuple(p)) for p in perms))
+    base = draw(st.integers(0, m - 1))
+    table, shortlex = s.build_table(act, base)
+    order = draw(st.permutations([(g, sign) for g in range(n) for sign in (1, -1)]))
+    path = {base: ()}
+    queue = [base]
+    for p in queue:
+        for g, sign in order:
+            q = ev_pairs(perms, p, ((g, sign),))
+            if q not in path:
+                path[q] = path[p] + ((g, sign),)
+                queue.append(q)
+    shuffled = s.SchreierTransversal(tuple(word_from_pairs(act.alphabet, path[q]) for q in table.points))
+    raw = draw(_raw(n, max_size=12)) if n else []
+    return perms, table, draw(st.sampled_from((shortlex, shuffled))), raw
+
+
+def _basis_oracle(perms, table, tr):
+    """Elements and index from brute_reduce of t x rep(tx)^-1."""
+    coset_of_point = {q: c for c, q in enumerate(table.points)}
+    reps = [pairs_of_word(r) for r in tr.reps]
+    elements, index = [], {}
+    for c, q in enumerate(table.points):
+        for g in range(len(perms)):
+            u = reps[coset_of_point[perms[g][q]]]
+            word = brute_reduce(reps[c] + ((g, 1),) + _inverse_pairs(u))
+            index[(c, g)] = len(elements) if word else None
+            if word:
+                elements.append((c, g, word))
+    return elements, index
+
+
+@given(action_with_transversals())
+def test_compute_basis_agrees_with_brute_reduce(case):
+    perms, table, tr, raw = case
+    basis = s.compute_basis(table, tr)
+    elements, index = _basis_oracle(perms, table, tr)
+    assert [(e.coset, e.gen, pairs_of_word(e.word)) for e in basis.elements] == elements
+    assert basis.index == index
+    assert all(_revalidates(e.word) for e in basis.elements)
+    u = s.reduce(table.action.alphabet, raw)
+    h = s.concat(u, s.invert(s.rep(table, tr, u)))
+    assert s.expand(basis, s.rewrite(table, tr, basis, h)) == h
+
+
+def _tampered_transversals(tr):
+    reps = tr.reps
+    yield reps[:-1]
+    yield reps + reps[:1]
+    if len(reps) >= 2:
+        yield (reps[1],) + reps[1:]
+        yield reps[:1] * len(reps)
+    if len(reps) >= 3:
+        # Each rep reaches a coset of its own; these two reach each other's.
+        yield (reps[0], reps[2], reps[1]) + reps[3:]
+
+
+@given(action_with_transversals())
+def test_compute_basis_and_induce_reject_a_tampered_transversal(case):
+    _, table, tr, _ = case
+    basis = s.compute_basis(table, tr)
+    sigma = s.HAction(1, (s.Permutation((0,)),) * len(basis.elements))
+    for reps in _tampered_transversals(tr):
+        bad = s.SchreierTransversal(reps)
+        with pytest.raises(s.InvariantError, match="not a Schreier transversal"):
+            s.compute_basis(table, bad)
+        with pytest.raises(s.InvariantError, match="not a Schreier transversal"):
+            s.induce(sigma, table, bad, basis)

@@ -175,3 +175,12 @@ def test_parse_folds_exponents_before_building_letters():
         tracemalloc.stop()
     assert str(w) == "y"
     assert peak < 1_000_000
+
+
+def test_parse_caps_the_folded_word_length(monkeypatch):
+    monkeypatch.setattr(s.words, "MAX_WORD_LENGTH", 5)
+    assert str(s.parse("x^5", XY)) == "x^5"
+    assert str(s.parse("x^9 x^-4 y^-1 y", XY)) == "x^5"  # the cap applies after folding
+    for text in ("x^6", "x^3 y^-3", "y^-7 x"):
+        with pytest.raises(s.WordParseError, match="longer than the limit of 5 letters"):
+            s.parse(text, XY)
