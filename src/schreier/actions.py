@@ -144,23 +144,32 @@ def perm_of_word(act: FiniteAction, w: Word) -> Permutation:
     return Permutation(tuple(images))
 
 
-def orbit(act: FiniteAction, base: int) -> list[int]:
-    """Points reachable from base, in BFS discovery order.
+def _bfs(act: FiniteAction, base: int) -> tuple[list[int], dict[int, int], list[tuple[int, Letter]]]:
+    """Breadth-first scan of the Schreier graph from base.
 
-    Edges are tried per generator in alphabet order, the positive letter
-    before the negative one, so the order is deterministic.
+    Returns the orbit points in discovery order, each point's position
+    in that order, and for every point after the first the tree edge
+    (parent position, letter) that first reached it.  Letters are tried
+    in shortlex order, per generator and positive before negative.
     """
-    _check_point(act, base)
-    steps = tuple(act._steps.values())  # in shortlex letter order
-    seen = {base}
-    out = [base]
-    for p in out:  # out grows as it is scanned: it is the BFS queue
-        for images in steps:
+    steps = tuple(act._steps.items())  # in shortlex letter order
+    points = [base]
+    index = {base: 0}
+    edges: list[tuple[int, Letter]] = []
+    for pos, p in enumerate(points):  # points grows as it is scanned
+        for lt, images in steps:
             q = images[p]
-            if q not in seen:
-                seen.add(q)
-                out.append(q)
-    return out
+            if q not in index:
+                index[q] = len(points)
+                points.append(q)
+                edges.append((pos, lt))
+    return points, index, edges
+
+
+def orbit(act: FiniteAction, base: int) -> list[int]:
+    """Points reachable from base, in BFS discovery order."""
+    _check_point(act, base)
+    return _bfs(act, base)[0]
 
 
 def is_transitive(act: FiniteAction) -> bool:

@@ -68,14 +68,15 @@ def compute_basis(table: CosetTable, transversal: SchreierTransversal) -> Schrei
     inverses = [words._inverse_letters(alphabet, r.letters) for r in transversal.reps]
     elements: list[BasisElement] = []
     index: dict[tuple[int, int], int | None] = {}
-    for c, row in enumerate(table.transitions):
+    forward = [perm.images for perm in table.graph.gen_perms]
+    for c in range(table.num_cosets):
         t = transversal.reps[c].letters
-        for g, c2 in enumerate(row):
+        for g, images in enumerate(forward):
             if (c, g) in tree:
                 index[(c, g)] = None
             else:
                 index[(c, g)] = len(elements)
-                word = words._word(alphabet, t + (alphabet._letters[2 * g],) + inverses[c2])
+                word = words._word(alphabet, t + (alphabet._letters[2 * g],) + inverses[images[c]])
                 elements.append(BasisElement(c, g, word))
     return SchreierBasis(alphabet, table.num_cosets, tuple(elements), index)
 
@@ -100,7 +101,7 @@ def degenerate_pair_of_rep(table: CosetTable, transversal: SchreierTransversal, 
     if not r.letters:
         raise InvariantError(_NOT_SCHREIER)
     last = r.letters[-1]
-    parent = table.step(c, r.alphabet._inverse[last])
+    parent = table.graph.step(c, r.alphabet._inverse[last])
     if r.letters[:-1] != transversal.reps[parent].letters:
         raise InvariantError(_NOT_SCHREIER)
     return (parent, last.gen) if last.sign > 0 else (c, last.gen)

@@ -240,7 +240,7 @@ def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: in
             r = rep(table, transversal, w)
             _require(rep(table, transversal, r) == r, "bar map is not idempotent")
             _require(
-                coset_of(table, words.concat(w, v)) == table.trace(coset_of(table, w), v),
+                coset_of(table, words.concat(w, v)) == evaluate(table.graph, coset_of(table, w), v),
                 "coset of wv does not factor through the coset of w",
             )
 
@@ -271,7 +271,8 @@ def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: in
     def basis_degenerate_bijection():
         # Word arithmetic, not the tree edges compute_basis reads.
         for c, t in enumerate(transversal.reps):
-            for g, c2 in enumerate(table.transitions[c]):
+            for g, perm in enumerate(table.graph.gen_perms):
+                c2 = perm(c)
                 word = words.concat(words.concat(t, words.single(alphabet, g)), words.invert(transversal.reps[c2]))
                 k = basis.index[(c, g)]
                 if word != (basis.elements[k].word if k is not None else words.identity(alphabet)):
@@ -368,7 +369,7 @@ def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: in
         for _ in range(trials):
             w = rand_word()
             for c in range(m):
-                expected = table.trace(c, w)
+                expected = evaluate(table.graph, c, w)
                 for a in range(h_degree):
                     _, c2 = ind.decode(evaluate(ind.base, ind.encode(a, c), w))
                     _require(c2 == expected, "coset coordinate strayed from the table")

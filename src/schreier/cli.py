@@ -66,17 +66,14 @@ def _setup(args):
     return act, table, transversal
 
 
-def _emit(obj) -> None:
-    print(json.dumps(obj))
+def _out(args, record: dict, plain: str) -> None:
+    """Print one JSON record under ``--format structured``, else the plain text."""
+    print(json.dumps(record) if args.format == "structured" else plain)
 
 
 def _cmd_reduce(args) -> int:
-    alphabet = _alphabet_from_spec(args.generators)
-    w = words.parse(args.word, alphabet)
-    if args.format == "structured":
-        _emit({"word": str(w)})
-    else:
-        print(w)
+    w = str(words.parse(args.word, _alphabet_from_spec(args.generators)))
+    _out(args, {"word": w}, w)
     return 0
 
 
@@ -84,82 +81,52 @@ def _cmd_act(args) -> int:
     act = read_action_file(args.action_file)
     w = words.parse(args.word, act.alphabet)
     if args.point is not None:
-        if not 0 <= args.point < act.degree:
-            raise ValueError(f"point {args.point} out of range for degree {act.degree}")
         image = evaluate(act, args.point, w)
-        if args.format == "structured":
-            _emit({"point": args.point, "image": image})
-        else:
-            print(image)
-        return 0
-    p = perm_of_word(act, w)
-    if args.format == "structured":
-        _emit({"images": list(p.images)})
+        _out(args, {"point": args.point, "image": image}, str(image))
     else:
-        print(" ".join(str(i) for i in p.images))
+        images = perm_of_word(act, w).images
+        _out(args, {"images": list(images)}, " ".join(map(str, images)))
     return 0
 
 
 def _cmd_transversal(args) -> int:
     _, table, transversal = _setup(args)
     for c, r in enumerate(transversal.reps):
-        if args.format == "structured":
-            _emit({"coset": c, "rep": str(r)})
-        else:
-            print(f"{c} {r}")
+        _out(args, {"coset": c, "rep": str(r)}, f"{c} {r}")
     return 0
 
 
 def _cmd_basis(args) -> int:
     act, table, transversal = _setup(args)
     basis = compute_basis(table, transversal)
-    m, n = table.num_cosets, len(act.alphabet)
     for k, e in enumerate(basis.elements):
-        t = transversal.reps[e.coset]
-        name = act.alphabet.names[e.gen]
-        if args.format == "structured":
-            _emit({"index": k, "rep": str(t), "generator": name, "word": str(e.word)})
-        else:
-            print(f"{k} {t} {name} {e.word}")
-    expected = 1 + m * (n - 1)
-    if args.format == "structured":
-        _emit({"count": len(basis.elements), "expected": expected,
-                     "degenerate": degenerate_count(basis)})
-    else:
-        print(f"count {len(basis.elements)} expected {expected} degenerate {degenerate_count(basis)}")
+        t, name, word = str(transversal.reps[e.coset]), act.alphabet.names[e.gen], str(e.word)
+        _out(args, {"index": k, "rep": t, "generator": name, "word": word}, f"{k} {t} {name} {word}")
+    count, degenerate = len(basis.elements), degenerate_count(basis)
+    expected = 1 + table.num_cosets * (len(act.alphabet) - 1)
+    _out(args, {"count": count, "expected": expected, "degenerate": degenerate},
+         f"count {count} expected {expected} degenerate {degenerate}")
     return 0
 
 
 def _cmd_member(args) -> int:
     act, table, _ = _setup(args)
-    w = words.parse(args.word, act.alphabet)
-    c = coset_of(table, w)
+    c = coset_of(table, words.parse(args.word, act.alphabet))
     if c == 0:
-        if args.format == "structured":
-            _emit({"member": True})
-        else:
-            print(_paint("yes", _GREEN))
+        _out(args, {"member": True}, _paint("yes", _GREEN))
         return 0
-    if args.format == "structured":
-        _emit({"member": False, "final_coset": c})
-    else:
-        print(f"{_paint('no', _RED)} {c}")
+    _out(args, {"member": False, "final_coset": c}, f"{_paint('no', _RED)} {c}")
     return 1
 
 
 def _cmd_rewrite(args) -> int:
     act, table, transversal = _setup(args)
     basis = compute_basis(table, transversal)
-    w = words.parse(args.word, act.alphabet)
-    bw = rewrite(table, transversal, basis, w)
-    tokens = " ".join(f"b{k}" if s > 0 else f"b{k}^-1" for k, s in bw.factors)
-    expanded = expand(basis, bw)
-    if args.format == "structured":
-        _emit({"factors": [[k, s] for k, s in bw.factors],
-                     "tokens": tokens or "1", "expanded": str(expanded)})
-    else:
-        print(tokens or "1")
-        print(f"expanded: {expanded}")
+    bw = rewrite(table, transversal, basis, words.parse(args.word, act.alphabet))
+    tokens = " ".join(f"b{k}" if s > 0 else f"b{k}^-1" for k, s in bw.factors) or "1"
+    expanded = str(expand(basis, bw))
+    _out(args, {"factors": [[k, s] for k, s in bw.factors], "tokens": tokens, "expanded": expanded},
+         f"{tokens}\nexpanded: {expanded}")
     return 0
 
 
@@ -167,16 +134,11 @@ def _cmd_induce(args) -> int:
     _, table, transversal = _setup(args)
     basis = compute_basis(table, transversal)
     sigma = haction_from_action(read_action_file(args.h_action_file), basis)
-    ind = induce(sigma, table, transversal, basis)
-    if args.format == "structured":
-        _emit({
-            "degree": ind.base.degree,
-            "generators": list(ind.base.alphabet.names),
-            "perms": {name: list(p.images)
-                      for name, p in zip(ind.base.alphabet.names, ind.base.gen_perms)},
-        })
-    else:
-        sys.stdout.write(format_action_text(ind.base))
+    act = induce(sigma, table, transversal, basis).base
+    names = act.alphabet.names
+    _out(args, {"degree": act.degree, "generators": list(names),
+                "perms": {name: list(p.images) for name, p in zip(names, act.gen_perms)}},
+         format_action_text(act).rstrip("\n"))
     return 0
 
 
@@ -185,17 +147,13 @@ def _cmd_check(args) -> int:
     results = run_checks(act, basepoint=args.base, max_len=args.max_len,
                          seed=args.seed, trials=args.trials)
     for r in results:
-        if args.format == "structured":
-            _emit({"name": r.name, "passed": r.passed, "detail": r.detail})
-            continue
         verdict = _paint("pass", _GREEN) if r.passed else _paint("fail", _RED)
         suffix = f" ({r.detail})" if r.detail else ""
-        print(f"{verdict} {r.name}{suffix}")
+        _out(args, {"name": r.name, "passed": r.passed, "detail": r.detail}, f"{verdict} {r.name}{suffix}")
     failed = sum(1 for r in results if not r.passed)
-    if args.format == "structured":
-        _emit({"checked": len(results), "passed": len(results) - failed, "failed": failed})
-    else:
-        print(f"checked {len(results)} invariants: {len(results) - failed} passed, {failed} failed")
+    passed = len(results) - failed
+    _out(args, {"checked": len(results), "passed": passed, "failed": failed},
+         f"checked {len(results)} invariants: {passed} passed, {failed} failed")
     return 0 if failed == 0 else 1
 
 

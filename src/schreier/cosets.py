@@ -7,11 +7,10 @@ the set is closed under taking prefixes.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import words
-from .actions import FiniteAction
-from .words import Letter, Word
+from .actions import FiniteAction, Permutation, _bfs, evaluate
+from .words import Word
 
 __all__ = [
     "CosetTable",
@@ -24,44 +23,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Basepoint orbit with per-generator transitions between cosets.
+    """The Schreier graph: the action on the basepoint orbit, by coset.
 
     ``points[c]`` is the orbit point of coset c (coset 0 is H itself);
-    ``transitions[c][g]`` is the coset reached from c by generator g.
+    ``graph`` is the action restricted to the orbit and relabelled onto
+    cosets 0..m-1, so ``evaluate(graph, c, w)`` is the coset reached
+    from coset c by w.
     """
 
     action: FiniteAction
     basepoint: int
     points: tuple[int, ...]
-    transitions: tuple[tuple[int, ...], ...]
+    graph: FiniteAction
 
     @property
     def num_cosets(self) -> int:
         return len(self.points)
-
-    @cached_property
-    def _steps(self) -> dict[Letter, tuple[int, ...]]:
-        # Like FiniteAction._steps: one coset image tuple per signed
-        # generator, keyed by the alphabet's shared letters.
-        steps = {}
-        letters = self.action.alphabet._letters
-        for g, forward in enumerate(zip(*self.transitions)):
-            backward = [0] * self.num_cosets
-            for c, c2 in enumerate(forward):
-                backward[c2] = c
-            steps[letters[2 * g]] = forward
-            steps[letters[2 * g + 1]] = tuple(backward)
-        return steps
-
-    def step(self, c: int, letter: Letter) -> int:
-        return self._steps[letter][c]
-
-    def trace(self, c: int, w: Word) -> int:
-        """Coset reached from c by the letters of w."""
-        steps = self._steps
-        for lt in w.letters:
-            c = steps[lt][c]
-        return c
 
 
 @dataclass(frozen=True)
@@ -81,30 +58,20 @@ def build_table(act: FiniteAction, basepoint: int) -> tuple[CosetTable, Schreier
     """
     if not 0 <= basepoint < act.degree:
         raise ValueError(f"basepoint {basepoint} out of range for degree {act.degree}")
-    steps = tuple(act._steps.items())  # in shortlex letter order
-    points = [basepoint]
-    index = {basepoint: 0}
+    points, index, edges = _bfs(act, basepoint)
     reps = [words.identity(act.alphabet)]
-    for pos, p in enumerate(points):  # points grows as it is scanned
-        for lt, images in steps:
-            q = images[p]
-            if q not in index:
-                index[q] = len(points)
-                points.append(q)
-                # Never cancels: undoing the last letter of reps[pos]
-                # leads back to its parent coset, which is indexed.
-                reps.append(words._word(act.alphabet, reps[pos].letters + (lt,)))
-    forward = [perm.images for perm in act.gen_perms]
-    transitions = tuple(tuple(index[images[p]] for images in forward) for p in points)
-    table = CosetTable(act, basepoint, tuple(points), transitions)
-    return table, SchreierTransversal(tuple(reps))
+    for parent, lt in edges:
+        # Never cancels: undoing the last letter of the parent's rep
+        # leads back to its own parent, which was reached earlier.
+        reps.append(words._word(act.alphabet, reps[parent].letters + (lt,)))
+    graph = FiniteAction(act.alphabet, len(points), tuple(
+        Permutation(tuple(index[perm.images[p]] for p in points)) for perm in act.gen_perms))
+    return CosetTable(act, basepoint, tuple(points), graph), SchreierTransversal(tuple(reps))
 
 
 def coset_of(table: CosetTable, w: Word) -> int:
     """Index of the coset Hw."""
-    if w.alphabet != table.action.alphabet:
-        raise ValueError("alphabet mismatch")
-    return table.trace(0, w)
+    return evaluate(table.graph, 0, w)
 
 
 def rep(table: CosetTable, transversal: SchreierTransversal, w: Word) -> Word:

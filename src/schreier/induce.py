@@ -74,10 +74,9 @@ def induce(sigma: HAction, table: CosetTable, transversal: SchreierTransversal, 
     m = table.num_cosets
     d = sigma.degree
     gen_perms = []
-    for g in range(len(table.action.alphabet)):
+    for g, perm in enumerate(table.graph.gen_perms):
         images = [0] * (d * m)
-        for c in range(m):
-            c2 = table.transitions[c][g]
+        for c, c2 in enumerate(perm.images):
             k = basis.index[(c, g)]
             for a in range(d):
                 a2 = sigma.perms[k](a) if k is not None else a

@@ -12,7 +12,7 @@ from typing import Iterable
 
 from . import words
 from .basis import SchreierBasis
-from .cosets import CosetTable, SchreierTransversal
+from .cosets import CosetTable, SchreierTransversal, coset_of
 from .words import Letter, Word
 
 __all__ = [
@@ -57,9 +57,7 @@ class BWord:
 
 def contains(table: CosetTable, w: Word) -> bool:
     """Whether w fixes the basepoint, i.e. lies in the stabilizer."""
-    if w.alphabet != table.action.alphabet:
-        raise ValueError("alphabet mismatch")
-    return table.trace(0, w) == 0
+    return coset_of(table, w) == 0
 
 
 def rewrite(table: CosetTable, transversal: SchreierTransversal, basis: SchreierBasis, w: Word) -> BWord:
@@ -71,7 +69,7 @@ def rewrite(table: CosetTable, transversal: SchreierTransversal, basis: Schreier
     """
     if w.alphabet != table.action.alphabet:
         raise ValueError("alphabet mismatch")
-    steps = table._steps
+    steps = table.graph._steps
     index = basis.index
     factors: list[tuple[int, int]] = []
     c = 0

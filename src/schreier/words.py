@@ -45,9 +45,6 @@ class Letter(NamedTuple):
     gen: int
     sign: int
 
-    def inverse(self) -> "Letter":
-        return Letter(self.gen, -self.sign)
-
     def key(self) -> int:
         # Letter order x0 < x0^-1 < x1 < x1^-1 < ... used by shortlex.
         return 2 * self.gen + (1 if self.sign < 0 else 0)
@@ -256,7 +253,10 @@ def parse(text: str, alphabet: Alphabet) -> Word:
             m2 = _INT_SCAN_RE.match(text, pos + 1)
             if not m2:
                 raise WordParseError(f"malformed exponent at position {pos + 1}")
-            k = int(m2.group())
+            try:
+                k = int(m2.group())
+            except ValueError:  # more digits than int() converts
+                raise WordParseError(f"exponent too large at position {pos + 1}") from None
             if k == 0:
                 raise WordParseError("malformed exponent: must be nonzero")
             pos = m2.end()

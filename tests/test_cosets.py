@@ -125,7 +125,7 @@ def test_barmap_laws():
         v = word_from_pairs(ab, random_word_pairs(rng, 2, 6))
         r = s.rep(table, tr, w)
         assert s.rep(table, tr, r) == r
-        assert s.coset_of(table, s.concat(w, v)) == table.trace(s.coset_of(table, w), v)
+        assert s.coset_of(table, s.concat(w, v)) == s.evaluate(table.graph, s.coset_of(table, w), v)
         h = s.concat(w, s.invert(r))
         assert s.rep(table, tr, s.concat(h, v)) == s.rep(table, tr, v)
 
@@ -137,5 +137,5 @@ def test_generators_act_as_bijections_on_cosets():
         act = make_action(tuple("xyz"[:n]), random_transitive_perms(rng, n, m))
         table, _ = s.build_table(act, 0)
         for g in range(n):
-            images = [table.step(c, s.Letter(g, 1)) for c in range(m)]
+            images = [table.graph.step(c, s.Letter(g, 1)) for c in range(m)]
             assert sorted(images) == list(range(m))

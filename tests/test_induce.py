@@ -43,7 +43,7 @@ def test_identity_sigma_induces_coset_action_product():
         for c in range(3):
             for a in range(2):
                 image = ind.base.gen_perms[g](ind.encode(a, c))
-                assert ind.decode(image) == (a, table.step(c, s.Letter(g, 1)))
+                assert ind.decode(image) == (a, table.graph.step(c, s.Letter(g, 1)))
 
 
 def test_worked_example_induced_action():
@@ -130,7 +130,7 @@ def test_coset_coordinate_follows_table():
         for a in range(2):
             for c in range(3):
                 _, c2 = ind.decode(s.evaluate(ind.base, ind.encode(a, c), w))
-                assert c2 == table.trace(c, w)
+                assert c2 == s.evaluate(table.graph, c, w)
 
 
 def test_conjugate_sigmas_induce_conjugate_actions():

@@ -146,11 +146,11 @@ def test_kernel_outputs_share_letter_objects():
 
 @st.composite
 def action_and_word(draw):
-    """Any action (transitive or not) and a word with inverse letters."""
-    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    """Any action (transitive or not, of degree 1, with no generators) and a word with inverse letters."""
+    n, m = draw(st.integers(0, 3)), draw(st.integers(1, 8))
     perms = [list(draw(st.permutations(range(m)))) for _ in range(n)]
-    act = make_action(("x", "y", "z")[:n], perms)
-    w = s.reduce(act.alphabet, draw(_raw(n, max_size=16)))
+    act = s.FiniteAction(s.Alphabet(("x", "y", "z")[:n]), m, tuple(s.Permutation(tuple(p)) for p in perms))
+    w = s.reduce(act.alphabet, draw(_raw(n, max_size=16)) if n else ())
     return perms, act, w, draw(st.integers(0, m - 1))
 
 
@@ -170,13 +170,15 @@ def test_action_kernels_agree_with_ev_pairs(case):
 def test_coset_kernels_agree_with_ev_pairs(case):
     perms, act, w, base = case
     table, _ = s.build_table(act, base)
+    assert s.orbit(act, base) == list(table.points)
     coset_of_point = {q: c for c, q in enumerate(table.points)}
     pairs = pairs_of_word(w)
     for c, q in enumerate(table.points):
-        assert table.trace(c, w) == coset_of_point[ev_pairs(perms, q, pairs)]
+        assert s.evaluate(table.graph, c, w) == coset_of_point[ev_pairs(perms, q, pairs)]
         for g in range(len(act.alphabet)):
             for sign in (1, -1):
-                assert table.step(c, s.Letter(g, sign)) == coset_of_point[ev_pairs(perms, q, ((g, sign),))]
+                # Fresh letters, not only the alphabet's shared ones.
+                assert table.graph.step(c, s.Letter(g, sign)) == coset_of_point[ev_pairs(perms, q, ((g, sign),))]
 
 
 @st.composite

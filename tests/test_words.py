@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -184,3 +185,12 @@ def test_parse_caps_the_folded_word_length(monkeypatch):
     for text in ("x^6", "x^3 y^-3", "y^-7 x"):
         with pytest.raises(s.WordParseError, match="longer than the limit of 5 letters"):
             s.parse(text, XY)
+
+
+def test_parse_rejects_an_exponent_int_cannot_convert():
+    # 5,000 digits is more than int() converts where the interpreter limits it.
+    with pytest.raises(s.WordParseError) as info:
+        s.parse("y x^" + "9" * 5000, XY)
+    assert type(info.value) is s.WordParseError
+    if hasattr(sys, "get_int_max_str_digits"):
+        assert "exponent too large at position 4" in str(info.value)
