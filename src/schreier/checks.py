@@ -45,23 +45,6 @@ def _random_perm(rng: random.Random, degree: int) -> Permutation:
     return Permutation(tuple(images))
 
 
-def _random_word(rng: random.Random, alphabet, max_len: int) -> Word:
-    length = rng.randint(0, max_len)
-    # After each letter, every letter but its inverse may follow, in
-    # shortlex letter order.
-    follow = {lt: [x for x in alphabet._letters if x is not alphabet._inverse[lt]]
-              for lt in alphabet._letters}
-    options = alphabet._letters
-    letters: list[Letter] = []
-    for _ in range(length):
-        if not options:
-            break
-        lt = rng.choice(options)
-        letters.append(lt)
-        options = follow[lt]
-    return words._word(alphabet, tuple(letters))
-
-
 def _random_raw(rng: random.Random, alphabet, max_len: int) -> list[tuple[int, int]]:
     # Unreduced on purpose: cancellations are likely.
     n = len(alphabet)
@@ -93,6 +76,9 @@ def _bconcat(left: tuple[tuple[int, int], ...], right: tuple[tuple[int, int], ..
 def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: int = 0,
                trials: int = 200) -> list[CheckResult]:
     """Run the whole invariant suite; returns one result per invariant."""
+    for name, value in (("trials", trials), ("max_len", max_len)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
     rng = random.Random(seed)
     alphabet = act.alphabet
     n = len(alphabet)
@@ -112,12 +98,35 @@ def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: in
         except (_CheckFailure, AssertionError) as exc:
             results.append(CheckResult(name, False, str(exc)))
 
+    # After each letter, every letter but its inverse may follow, in
+    # shortlex letter order.
+    follow = {lt: [x for x in alphabet._letters if x is not alphabet._inverse[lt]]
+              for lt in alphabet._letters}
+
     def rand_word():
-        return _random_word(rng, alphabet, max_len)
+        options = alphabet._letters
+        letters: list[Letter] = []
+        for _ in range(rng.randint(0, max_len)):
+            if not options:
+                break
+            lt = rng.choice(options)
+            letters.append(lt)
+            options = follow[lt]
+        return words._word(alphabet, tuple(letters))
 
     def rand_h():
         u = rand_word()
         return words.concat(u, words.invert(rep(table, transversal, u)))
+
+    def axioms(action, moved, failed):
+        e = words.identity(alphabet)
+        for _ in range(trials):
+            v, w = rand_word(), rand_word()
+            _require(perm_of_word(action, e).is_identity(), moved)
+            _require(
+                perm_of_word(action, words.concat(v, w)) == perm_of_word(action, v).then(perm_of_word(action, w)),
+                failed,
+            )
 
     # words -----------------------------------------------------------------
     def words_reduce_idempotent():
@@ -152,19 +161,7 @@ def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: in
     check("words-parse-roundtrip", words_parse_roundtrip)
 
     # actions ---------------------------------------------------------------
-    def action_axioms():
-        e = words.identity(alphabet)
-        for _ in range(trials):
-            v, w = rand_word(), rand_word()
-            vw = words.concat(v, w)
-            for p in range(act.degree):
-                _require(evaluate(act, p, e) == p, "identity word moved a point")
-                _require(
-                    evaluate(act, p, vw) == evaluate(act, evaluate(act, p, v), w),
-                    "compatibility axiom failed",
-                )
-
-    check("action-axioms", action_axioms)
+    check("action-axioms", lambda: axioms(act, "identity word moved a point", "compatibility axiom failed"))
 
     def action_homomorphism():
         for _ in range(trials):
@@ -197,11 +194,12 @@ def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: in
     check("transversal-identity-first", transversal_identity_first)
 
     def transversal_prefix_closed():
-        have = set(transversal.reps)
+        # Closed under prefixes iff each rep minus its last letter is a rep.
+        have = {r.letters for r in transversal.reps}
         for r in transversal.reps:
-            for pfx in words.prefixes(r):
-                if pfx not in have:
-                    raise _CheckFailure(f"prefix {pfx} of {r} is not a representative")
+            if r.letters and r.letters[:-1] not in have:
+                pfx = words._word(alphabet, r.letters[:-1])
+                raise _CheckFailure(f"prefix {pfx} of {r} is not a representative")
 
     check("transversal-prefix-closed", transversal_prefix_closed)
 
@@ -351,28 +349,17 @@ def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: in
 
     check("induce-claim", induce_claim)
 
-    def induce_action_axioms():
-        e = words.identity(alphabet)
-        for _ in range(trials):
-            v, w = rand_word(), rand_word()
-            vw = words.concat(v, w)
-            for p in range(ind.base.degree):
-                _require(evaluate(ind.base, p, e) == p, "identity word moved an induced point")
-                _require(
-                    evaluate(ind.base, p, vw) == evaluate(ind.base, evaluate(ind.base, p, v), w),
-                    "induced compatibility axiom failed",
-                )
-
-    check("induce-action-axioms", induce_action_axioms)
+    check("induce-action-axioms", lambda: axioms(
+        ind.base, "identity word moved an induced point", "induced compatibility axiom failed"))
 
     def induce_coset_equivariance():
+        # Point a + d*c lies over coset c, so the coset parts of the induced
+        # images are the table's images, each repeated d times.
         for _ in range(trials):
             w = rand_word()
-            for c in range(m):
-                expected = evaluate(table.graph, c, w)
-                for a in range(h_degree):
-                    _, c2 = ind.decode(evaluate(ind.base, ind.encode(a, c), w))
-                    _require(c2 == expected, "coset coordinate strayed from the table")
+            cosets = [q // h_degree for q in perm_of_word(ind.base, w).images]
+            expected = [c2 for c2 in perm_of_word(table.graph, w).images for _ in range(h_degree)]
+            _require(cosets == expected, "coset coordinate strayed from the table")
 
     check("induce-coset-equivariance", induce_coset_equivariance)
 

@@ -10,7 +10,7 @@ H-action, which is what makes the basis free.
 
 from dataclasses import dataclass
 
-from . import words
+from . import actions, words
 from .actions import ActionParseError, FiniteAction, Permutation, evaluate
 from .basis import InvariantError, SchreierBasis, _tree_edges
 from .cosets import CosetTable, SchreierTransversal, coset_of
@@ -68,11 +68,13 @@ def induce(sigma: HAction, table: CosetTable, transversal: SchreierTransversal, 
         raise ValueError(
             f"H-action has {len(sigma.perms)} permutations, basis has {len(basis.elements)} elements"
         )
+    m = table.num_cosets
+    d = sigma.degree
+    if d * m > actions.MAX_DEGREE:
+        raise ValueError(f"induced degree {d} x {m} is more than the limit of {actions.MAX_DEGREE}")
     # Reps walk tree edges only, so they leave A alone iff those are degenerate.
     if any(basis.index[pair] is not None for pair in _tree_edges(table, transversal)):
         raise InvariantError("transversal words must move cosets without touching A")
-    m = table.num_cosets
-    d = sigma.degree
     gen_perms = []
     for g, perm in enumerate(table.graph.gen_perms):
         images = [0] * (d * m)

@@ -1,6 +1,8 @@
 import dataclasses
 import random
 
+import pytest
+
 import schreier as s
 import schreier.checks
 from helpers import make_action, random_transitive_perms
@@ -67,6 +69,14 @@ def test_all_pass_on_random_actions():
         assert all(r.passed for r in results), [r for r in results if not r.passed]
 
 
+def test_all_pass_where_a_suffix_of_a_rep_is_not_a_rep():
+    # Reps are 1, x, x^-1 and x y; y fixes the basepoint, so y is no rep.
+    act = make_action(("x", "y"), [[1, 3, 2, 0], [0, 2, 1, 3]])
+    assert [str(r) for r in s.build_table(act, 0)[1].reps] == ["1", "x", "x^-1", "x y"]
+    results = s.run_checks(act, trials=20)
+    assert all(r.passed for r in results), [r for r in results if not r.passed]
+
+
 def test_deterministic_under_fixed_seed():
     act = make_action(("x", "y"), [[1, 0, 2], [2, 1, 0]])
     a = s.run_checks(act, seed=5, trials=30)
@@ -131,3 +141,32 @@ def test_run_checks_reports_basis_words_on_the_wrong_pairs(monkeypatch):
     failures = {r.name: r.detail for r in s.run_checks(act, trials=20) if not r.passed}
     assert failures["basis-degenerate-bijection"] == "pair (1, 1) does not match its word x y x^-1"
     assert "basis-count" not in failures and "basis-words-distinct" not in failures
+
+
+def test_run_checks_reports_induced_images_swapped_across_cosets(monkeypatch):
+    # Swapping two images of x keeps a permutation, so the induced action is
+    # still an action; only its coset coordinate leaves the table.
+    real = schreier.checks.induce
+
+    def induce(*args):
+        ind = real(*args)
+        x = list(ind.base.gen_perms[0].images)
+        x[0], x[ind.encode(0, 1)] = x[ind.encode(0, 1)], x[0]
+        perms = (s.Permutation(tuple(x)), *ind.base.gen_perms[1:])
+        return dataclasses.replace(ind, base=dataclasses.replace(ind.base, gen_perms=perms))
+
+    monkeypatch.setattr(schreier.checks, "induce", induce)
+    act = make_action(("x", "y"), [[1, 2, 0], [0, 1, 2]])
+    failures = {r.name: r.detail for r in s.run_checks(act, trials=20) if not r.passed}
+    assert failures["induce-coset-equivariance"] == "coset coordinate strayed from the table"
+    assert "induce-action-axioms" not in failures
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"trials": -3}, "trials must be non-negative, got -3"),
+    ({"max_len": -1}, "max_len must be non-negative, got -1"),
+])
+def test_run_checks_rejects_negative_counts(kwargs, message):
+    act = make_action(("x",), [[1, 2, 0]])
+    with pytest.raises(ValueError, match=message):
+        s.run_checks(act, **kwargs)

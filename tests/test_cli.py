@@ -81,10 +81,13 @@ def test_member_no(capsys):
 
 
 def test_member_structured(capsys):
+    # ``is``, since 1 == True would let {"member": 1} through.
     code, out, _ = run(capsys, ["member", ACT, "--format", "structured", "x"])
     assert code == 1 and json.loads(out) == {"member": False, "final_coset": 1}
+    assert json.loads(out)["member"] is False
     code, out, _ = run(capsys, ["member", ACT, "--format", "structured", "1"])
     assert code == 0 and json.loads(out) == {"member": True}
+    assert json.loads(out)["member"] is True
 
 
 def test_rewrite_golden(capsys):
@@ -190,7 +193,18 @@ def test_check_structured(capsys):
     assert code == 0
     records = [json.loads(line) for line in out.splitlines()]
     assert records[-1] == {"checked": 25, "passed": 25, "failed": 0}
-    assert all(r["passed"] for r in records[:-1])
+    assert all(r["passed"] is True for r in records[:-1])
+
+
+def test_check_golden(capsys):
+    code, out, _ = run(capsys, ["check", ACT])
+    assert code == 0 and out == golden("check.txt")
+
+
+@pytest.mark.parametrize("flag,value", [("--trials", "-3"), ("--len", "-1")])
+def test_check_rejects_negative_counts(capsys, flag, value):
+    code, out, err = run(capsys, ["check", ACT, flag, value])
+    assert code == 2 and out == "" and "must be non-negative" in err
 
 
 def test_check_seed_determinism(capsys):
@@ -250,3 +264,7 @@ def test_input_caps_exit_2(capsys, monkeypatch, tmp_path):
     path.write_text("degree 7\ngenerators\n")
     code, out, err = run(capsys, ["act", str(path), "1"])
     assert code == 2 and out == "" and "more than the limit of 6" in err
+    # act3cycle has 3 cosets and hact_swap degree 2: 6 induced points.
+    monkeypatch.setattr("schreier.actions.MAX_DEGREE", 5)
+    code, out, err = run(capsys, ["induce", ACT, HACT])
+    assert code == 2 and out == "" and "induced degree 2 x 3 is more than the limit of 5" in err

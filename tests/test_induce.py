@@ -35,6 +35,17 @@ def test_induce_size_mismatch():
         s.induce(s.HAction(2, (s.Permutation((1, 0)),)), table, tr, basis)
 
 
+def test_induce_refuses_a_degree_over_the_cap(monkeypatch):
+    # 2 x 3 = 6 points; a lowered cap tests the refusal without a huge allocation.
+    table, tr, basis = setup_case(CYCLE3)
+    sigma = identity_sigma(basis, 2)
+    monkeypatch.setattr("schreier.actions.MAX_DEGREE", 5)
+    with pytest.raises(ValueError, match="induced degree 2 x 3 is more than the limit of 5"):
+        s.induce(sigma, table, tr, basis)
+    monkeypatch.setattr("schreier.actions.MAX_DEGREE", 6)
+    assert s.induce(sigma, table, tr, basis).base.degree == 6
+
+
 def test_identity_sigma_induces_coset_action_product():
     table, tr, basis = setup_case(CYCLE3)
     ind = s.induce(identity_sigma(basis, 2), table, tr, basis)
