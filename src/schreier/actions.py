@@ -67,10 +67,10 @@ class Permutation:
 
     def then(self, other: "Permutation") -> "Permutation":
         """Composite: apply self first, then other."""
-        return Permutation(tuple(other.images[j] for j in self.images))
+        return Permutation(tuple(map(other.images.__getitem__, self.images)))
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
 
 @dataclass(frozen=True)

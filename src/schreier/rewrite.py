@@ -90,10 +90,11 @@ def rewrite(table: CosetTable, transversal: SchreierTransversal, basis: Schreier
 def expand(basis: SchreierBasis, bw: BWord | Iterable[tuple[int, int]]) -> Word:
     """Substitute basis words for factors and reduce, in O(total factor length).
 
-    Accepts a BWord or any (index, sign) sequence; unreduced sequences
-    are fine.  Each factor's letters (inverted for sign -1) go onto one
-    stack, and only the letters where a factor meets the stack can
-    cancel, since each basis word is already reduced.
+    Accepts a BWord or any (index, sign) sequence with signs +1 or -1;
+    unreduced sequences are fine.  Each factor's letters (inverted for
+    sign -1) go onto one stack, and only the letters where a factor
+    meets the stack can cancel, since each basis word is already
+    reduced.
     """
     factors = bw.factors if isinstance(bw, BWord) else bw
     elements = basis.elements
@@ -102,7 +103,9 @@ def expand(basis: SchreierBasis, bw: BWord | Iterable[tuple[int, int]]) -> Word:
         if not 0 <= k < len(elements):
             raise ValueError(f"basis index {k} out of range")
         letters = elements[k].word.letters
-        if not s > 0:
+        if s != 1:
+            if s != -1:
+                raise ValueError(f"factor sign must be +1 or -1, got {s}")
             letters = words._inverse_letters(basis.alphabet, letters)
         cut = words._cancel_point(basis.alphabet, stack, letters)
         del stack[len(stack) - cut:]

@@ -30,9 +30,11 @@ __all__ = [
 # Most letters ``parse`` builds, counted after folding: ``x^2000000000`` fails fast.
 MAX_WORD_LENGTH = 1_000_000
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_NAME_SCAN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INT_SCAN_RE = re.compile(r"[+-]?[0-9]+")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAME_RE = re.compile(_NAME + r"\Z")
+# One factor of ``parse`` and the separator after it: a name, an optional
+# ``^exponent``, then whitespace, at most one ``*`` and whitespace.
+_FACTOR_RE = re.compile(rf"({_NAME})(?:\^([+-]?[0-9]+))?(\s*\*?\s*)")
 
 
 class WordParseError(ValueError):
@@ -238,43 +240,38 @@ def parse(text: str, alphabet: Alphabet) -> Word:
     # run folds into it, and a run that folds to 0 is dropped, so the
     # runs stay freely reduced and no cancelled letter is ever built.
     runs: list[list[int]] = []
-    pos = _skip_ws(text, 0)
     end = len(text)
+    pos = end - len(text.lstrip())
     if pos == end:
         raise WordParseError("empty word (write '1' for the identity)")
     while True:
-        m = _NAME_SCAN_RE.match(text, pos)
+        m = _FACTOR_RE.match(text, pos)
         if not m:
             raise WordParseError(f"expected a generator name at position {pos}")
-        gen = alphabet.index(m.group())
-        pos = m.end()
+        name, digits, sep = m.groups()
+        gen = alphabet.index(name)
         k = 1
-        if pos < end and text[pos] == "^":
-            m2 = _INT_SCAN_RE.match(text, pos + 1)
-            if not m2:
-                raise WordParseError(f"malformed exponent at position {pos + 1}")
+        if digits is not None:
             try:
-                k = int(m2.group())
+                k = int(digits)
             except ValueError:  # more digits than int() converts
-                raise WordParseError(f"exponent too large at position {pos + 1}") from None
+                raise WordParseError(f"exponent too large at position {m.start(2)}") from None
             if k == 0:
                 raise WordParseError("malformed exponent: must be nonzero")
-            pos = m2.end()
         if runs and runs[-1][0] == gen:
             runs[-1][1] += k
             if runs[-1][1] == 0:
                 runs.pop()
         else:
             runs.append([gen, k])
-        sep_start = pos
-        pos = _skip_ws(text, pos)
+        pos = m.end()
         if pos == end:
-            break
-        if text[pos] == "*":
-            pos = _skip_ws(text, pos + 1)
-            if pos == end:
+            if "*" in sep:
                 raise WordParseError("empty factor after '*'")
-        elif pos == sep_start:
+            break
+        if not sep:
+            if digits is None and text[pos] == "^":
+                raise WordParseError(f"malformed exponent at position {pos + 1}")
             raise WordParseError(f"missing separator at position {pos}")
     if sum(abs(k) for _, k in runs) > MAX_WORD_LENGTH:
         raise WordParseError(f"word longer than the limit of {MAX_WORD_LENGTH} letters")
@@ -282,12 +279,6 @@ def parse(text: str, alphabet: Alphabet) -> Word:
     for gen, k in runs:
         letters.extend([alphabet._letters[2 * gen + (k < 0)]] * abs(k))
     return _word(alphabet, tuple(letters))
-
-
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
 
 
 def format_word(w: Word) -> str:

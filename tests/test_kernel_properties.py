@@ -75,10 +75,26 @@ def test_prefixes_revalidate(case):
     assert all(_revalidates(p) for p in pre)
 
 
-@given(alphabet_and_raws(1))
+_SEPARATORS = (" ", "\t", "\n", "*", " * ", "\t*\n")
+_PLUS_ONE = ("", "^1", "^+1", "^01")
+_PADDING = ("", " ", "\t", "\n", " \t\n ")
+
+
+@st.composite
+def spelled_word(draw):
+    """Letters and one of the many texts that spell them."""
+    alphabet, (raw,) = draw(alphabet_and_raws(1))
+    factors = [alphabet.names[g] + (draw(st.sampled_from(_PLUS_ONE)) if sign > 0 else "^-1") for g, sign in raw]
+    text = factors[0] if factors else "1"
+    for factor in factors[1:]:
+        text += draw(st.sampled_from(_SEPARATORS)) + factor
+    pad = st.sampled_from(_PADDING)
+    return alphabet, raw, draw(pad) + text + draw(pad)
+
+
+@given(spelled_word())
 def test_parse_agrees_with_brute_reduce(case):
-    alphabet, (raw,) = case
-    text = " ".join(f"{alphabet.names[g]}^{sign}" for g, sign in raw) or "1"
+    alphabet, raw, text = case
     w = s.parse(text, alphabet)
     assert pairs_of_word(w) == brute_reduce(raw)
     assert _revalidates(w)
@@ -258,3 +274,22 @@ def test_compute_basis_and_induce_reject_a_tampered_transversal(case):
             s.compute_basis(table, bad)
         with pytest.raises(s.InvariantError, match="not a Schreier transversal"):
             s.induce(sigma, table, bad, basis)
+
+
+@given(action_with_transversals(), st.data())
+def test_induce_restricts_to_sigma_and_agrees_with_the_transfer_formula(case, data):
+    _, table, tr, raw = case
+    basis = s.compute_basis(table, tr)
+    d = data.draw(st.integers(1, 3))
+    sigma = s.HAction(d, tuple(s.Permutation(tuple(data.draw(st.permutations(range(d)))))
+                               for _ in basis.elements))
+    ind = s.induce(sigma, table, tr, basis)
+    assert s.restrict_to_h(ind, basis) == sigma.perms
+    assert s.check_claim(ind, tr)
+    alphabet = table.action.alphabet
+    n = len(alphabet)
+    a = data.draw(st.integers(0, d - 1))
+    w_prior = s.reduce(alphabet, data.draw(_raw(n, max_size=8)) if n else ())
+    g = s.reduce(alphabet, raw)
+    a2, c2 = s.tensor_action_generic(sigma, table, tr, basis, a, w_prior, g)
+    assert s.evaluate(ind.base, ind.encode(a, s.coset_of(table, w_prior)), g) == ind.encode(a2, c2)

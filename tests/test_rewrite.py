@@ -64,6 +64,16 @@ def test_expand_examples():
         s.expand(basis, [(9, 1)])
 
 
+@pytest.mark.parametrize("sign", [0, 5, -2])
+def test_expand_rejects_a_sign_other_than_plus_or_minus_one(sign):
+    # BWord refuses these signs; a raw factor sequence must not slip past.
+    _, _, basis = setup_case(CYCLE3)
+    for factors in ([(1, sign)], [(0, 1), (1, sign)]):
+        with pytest.raises(ValueError) as info:
+            s.expand(basis, factors)
+        assert str(info.value) == f"factor sign must be +1 or -1, got {sign}"
+
+
 def test_bword_validates():
     with pytest.raises(ValueError, match="not reduced"):
         s.BWord(((0, 1), (0, -1)))

@@ -104,6 +104,31 @@ def test_parse_errors(text, message):
         s.parse(text, XY)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("", "empty word (write '1' for the identity)"),
+    ("   ", "empty word (write '1' for the identity)"),
+    ("z", "unknown generator 'z'"),
+    ("z^0", "unknown generator 'z'"),  # the name is checked before the exponent
+    ("x^", "malformed exponent at position 2"),
+    ("x^+", "malformed exponent at position 2"),
+    ("x^0", "malformed exponent: must be nonzero"),
+    ("x^^2", "malformed exponent at position 2"),
+    ("x*", "empty factor after '*'"),
+    ("x\t*", "empty factor after '*'"),
+    ("*x", "expected a generator name at position 0"),
+    ("  *x", "expected a generator name at position 2"),
+    ("2x", "expected a generator name at position 0"),
+    ("x ^2", "expected a generator name at position 2"),
+    ("x * * y", "expected a generator name at position 4"),
+    ("x%y", "missing separator at position 1"),
+    ("x^2y", "missing separator at position 3"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(s.WordParseError) as info:
+        s.parse(text, XY)
+    assert str(info.value) == message
+
+
 def test_format_parse_roundtrip():
     rng = random.Random(13)
     for _ in range(300):
