@@ -218,7 +218,7 @@ def parse_action_text(text: str) -> FiniteAction:
         if len(fields) < 2:
             raise ActionParseError(f"line {lineno}: missing generator name")
         name = fields[1]
-        if name not in alphabet.names:
+        if name not in alphabet._positions:
             raise ActionParseError(f"line {lineno}: unknown generator {name!r}")
         if name in perms:
             raise ActionParseError(f"line {lineno}: duplicate perm line for {name!r}")

@@ -119,10 +119,10 @@ def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: in
         return words.concat(u, words.invert(rep(table, transversal, u)))
 
     def axioms(action, moved, failed):
-        e = words.identity(alphabet)
+        if trials > 0:
+            _require(perm_of_word(action, words.identity(alphabet)).is_identity(), moved)
         for _ in range(trials):
             v, w = rand_word(), rand_word()
-            _require(perm_of_word(action, e).is_identity(), moved)
             _require(
                 perm_of_word(action, words.concat(v, w)) == perm_of_word(action, v).then(perm_of_word(action, w)),
                 failed,
@@ -165,10 +165,10 @@ def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: in
 
     def action_homomorphism():
         for _ in range(trials):
-            v, w = rand_word(), rand_word()
+            w = rand_word()
             _require(
-                perm_of_word(act, words.concat(v, w)) == perm_of_word(act, v).then(perm_of_word(act, w)),
-                "word permutations are not multiplicative",
+                perm_of_word(act, words.invert(w)) == perm_of_word(act, w).inverse,
+                "word permutations do not respect inverses",
             )
 
     check("action-homomorphism", action_homomorphism)

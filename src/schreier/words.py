@@ -105,19 +105,11 @@ class Word:
     letters: tuple[Letter, ...] = ()
 
     def __post_init__(self):
-        n = len(self.alphabet)
-        shared = self.alphabet._letters
-        letters = []
-        prev = -2
-        for g, s in self.letters:
-            if not (0 <= g < n and s in (1, -1)):
-                _check_letter(Letter(g, s), n)
-            code = 2 * g + (s < 0)
-            if code == prev ^ 1:
-                raise ValueError("word is not reduced")
-            letters.append(shared[code])
-            prev = code
-        object.__setattr__(self, "letters", tuple(letters))
+        raw = tuple(self.letters)
+        letters = reduce(self.alphabet, raw).letters
+        if len(letters) != len(raw):
+            raise ValueError("word is not reduced")
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self) -> int:
         return len(self.letters)

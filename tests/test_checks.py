@@ -162,6 +162,22 @@ def test_run_checks_reports_induced_images_swapped_across_cosets(monkeypatch):
     assert "induce-action-axioms" not in failures
 
 
+def test_run_checks_reports_word_permutations_that_break_the_inverse_law(monkeypatch):
+    real = schreier.checks.perm_of_word
+
+    def perm_of_word(act, w):
+        perm = real(act, w)
+        if w.letters and w.letters[0].sign < 0:
+            swap = s.Permutation((1, 0, *range(2, act.degree)))
+            return perm.then(swap)
+        return perm
+
+    monkeypatch.setattr(schreier.checks, "perm_of_word", perm_of_word)
+    act = make_action(("x", "y"), [[1, 2, 0], [0, 1, 2]])
+    failures = {r.name: r.detail for r in s.run_checks(act, trials=20) if not r.passed}
+    assert failures["action-homomorphism"] == "word permutations do not respect inverses"
+
+
 @pytest.mark.parametrize("kwargs,message", [
     ({"trials": -3}, "trials must be non-negative, got -3"),
     ({"max_len": -1}, "max_len must be non-negative, got -1"),

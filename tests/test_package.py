@@ -1,0 +1,34 @@
+"""The package namespace is the union of its library modules' ``__all__``."""
+
+import importlib
+from collections import Counter
+
+import schreier
+
+MODULES = [importlib.import_module(f"schreier.{name}")
+           for name in ("actions", "basis", "checks", "cosets", "induce", "rewrite", "words")]
+
+
+def test_no_name_is_exported_by_two_modules():
+    # The package star-imports every module, so a shared name would
+    # silently resolve to the last module's object.
+    counts = Counter(name for module in MODULES for name in module.__all__)
+    assert [name for name, count in counts.items() if count > 1] == []
+
+
+def test_each_exported_name_is_the_module_object():
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(schreier, name) is getattr(module, name), (module.__name__, name)
+
+
+def test_package_all_is_the_union_of_module_lists():
+    assert len(schreier.__all__) == len(set(schreier.__all__))
+    assert set(schreier.__all__) == {name for module in MODULES for name in module.__all__}
+
+
+def test_star_import_binds_exactly_the_exported_names():
+    namespace: dict = {}
+    exec("from schreier import *", namespace)
+    namespace.pop("__builtins__")
+    assert set(namespace) == set(schreier.__all__)

@@ -170,6 +170,9 @@ def test_word_rejects_bad_letters():
         s.Word(XY, (s.Letter(5, 1),))
     with pytest.raises(ValueError, match="sign"):
         s.Word(XY, (s.Letter(0, 2),))
+    # A bad letter is reported even after a cancelling pair.
+    with pytest.raises(ValueError, match="out of range"):
+        s.Word(XY, (s.Letter(0, 1), s.Letter(0, -1), s.Letter(5, 1)))
 
 
 def test_alphabet_validation():
