@@ -49,7 +49,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        return cls(tuple(range(degree)))
+        return _perm(tuple(range(degree))) if degree > 0 else cls(())  # cls(()) raises
 
     @property
     def degree(self) -> int:
@@ -63,14 +63,21 @@ class Permutation:
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Permutation(tuple(inv))
+        return _perm(tuple(inv))
 
     def then(self, other: "Permutation") -> "Permutation":
         """Composite: apply self first, then other."""
-        return Permutation(tuple(map(other.images.__getitem__, self.images)))
+        return _perm(tuple(map(other.images.__getitem__, self.images)))
 
     def is_identity(self) -> bool:
         return self.images == tuple(range(len(self.images)))
+
+
+def _perm(images: tuple[int, ...]) -> Permutation:
+    """Trusted constructor for images that are a bijection by construction: skips the O(m log m) check."""
+    p = object.__new__(Permutation)
+    object.__setattr__(p, "images", images)
+    return p
 
 
 @dataclass(frozen=True)
@@ -111,19 +118,8 @@ class FiniteAction:
         return self._steps[letter][point]
 
 
-def _check_word(act: FiniteAction, w: Word) -> None:
-    if w.alphabet is not act.alphabet and w.alphabet != act.alphabet:
-        raise ValueError("alphabet mismatch")
-
-
-def _check_point(act: FiniteAction, point: int) -> None:
-    if not 0 <= point < act.degree:
-        raise ValueError(f"point {point} out of range for degree {act.degree}")
-
-
 def evaluate(act: FiniteAction, point: int, w: Word) -> int:
     """Apply a word to a point, letters left to right."""
-    # The two guards are inlined: this is the per-point hot path.
     if w.alphabet is not act.alphabet and w.alphabet != act.alphabet:
         raise ValueError("alphabet mismatch")
     if not 0 <= point < act.degree:
@@ -136,12 +132,13 @@ def evaluate(act: FiniteAction, point: int, w: Word) -> int:
 
 def perm_of_word(act: FiniteAction, w: Word) -> Permutation:
     """The permutation a word induces on all points at once."""
-    _check_word(act, w)
+    if w.alphabet is not act.alphabet and w.alphabet != act.alphabet:
+        raise ValueError("alphabet mismatch")
     steps = act._steps
     images = range(act.degree)
     for lt in w.letters:
         images = list(map(steps[lt].__getitem__, images))
-    return Permutation(tuple(images))
+    return _perm(tuple(images))
 
 
 def _bfs(act: FiniteAction, base: int) -> tuple[list[int], dict[int, int], list[tuple[int, Letter]]]:
@@ -168,7 +165,8 @@ def _bfs(act: FiniteAction, base: int) -> tuple[list[int], dict[int, int], list[
 
 def orbit(act: FiniteAction, base: int) -> list[int]:
     """Points reachable from base, in BFS discovery order."""
-    _check_point(act, base)
+    if not 0 <= base < act.degree:
+        raise ValueError(f"point {base} out of range for degree {act.degree}")
     return _bfs(act, base)[0]
 
 

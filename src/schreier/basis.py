@@ -32,13 +32,28 @@ class InvariantError(AssertionError):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BasisElement:
-    """One basis word t x (rep(tx))^-1 with its defining pair."""
+    """One basis word t x (rep(tx))^-1 with its defining pair.
+
+    ``compute_basis`` leaves the word unbuilt and ``_source`` set to the
+    alphabet, the transversal and the table's image tuple per generator:
+    the word is spelled out on first read, in O(|t| + |rep(tx)|), and kept.
+    """
 
     coset: int
     gen: int
     word: Word
+    _source: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __getattr__(self, name):
+        if name != "word" or self._source is None:
+            raise AttributeError(name)
+        alphabet, tr, forward = self._source
+        u = words._inverse_letters(alphabet, tr._rep_letters(forward[self.gen][self.coset]))
+        word = words._word(alphabet, tr._rep_letters(self.coset) + (alphabet._letters[2 * self.gen],) + u)
+        object.__setattr__(self, "word", word)
+        return word
 
 
 @dataclass(frozen=True)
@@ -60,25 +75,23 @@ def compute_basis(table: CosetTable, transversal: SchreierTransversal) -> Schrei
     """One basis word per (coset, generator) pair that is not a tree edge.
 
     Raises InvariantError unless ``transversal`` is a Schreier transversal
-    of ``table``.  Words need no reduction: t x rep(tx)^-1 cancels only if
-    t ends in x^-1 or rep(tx) ends in x, either making (t, x) a tree edge.
+    of ``table``.  Words are built on first read, with no reduction:
+    t x rep(tx)^-1 cancels only if t ends in x^-1 or rep(tx) ends in x,
+    either making (t, x) a tree edge.
     """
     alphabet = table.action.alphabet
     tree = set(_tree_edges(table, transversal))
-    inverses = [words._inverse_letters(alphabet, r.letters) for r in transversal.reps]
-    elements: list[BasisElement] = []
-    index: dict[tuple[int, int], int | None] = {}
-    forward = [perm.images for perm in table.graph.gen_perms]
-    for c in range(table.num_cosets):
-        t = transversal.reps[c].letters
-        for g, images in enumerate(forward):
-            if (c, g) in tree:
-                index[(c, g)] = None
-            else:
-                index[(c, g)] = len(elements)
-                word = words._word(alphabet, t + (alphabet._letters[2 * g],) + inverses[images[c]])
-                elements.append(BasisElement(c, g, word))
-    return SchreierBasis(alphabet, table.num_cosets, tuple(elements), index)
+    pairs = [(c, g) for c in range(table.num_cosets) for g in range(len(alphabet))]
+    free = [pair for pair in pairs if pair not in tree]
+    index: dict[tuple[int, int], int | None] = dict.fromkeys(pairs)
+    index.update(zip(free, range(len(free))))
+    source = (alphabet, transversal, [perm.images for perm in table.graph.gen_perms])
+    elements = tuple(object.__new__(BasisElement) for _ in free)
+    for e, (c, g) in zip(elements, free):
+        object.__setattr__(e, "coset", c)
+        object.__setattr__(e, "gen", g)
+        object.__setattr__(e, "_source", source)
+    return SchreierBasis(alphabet, table.num_cosets, elements, index)
 
 
 def degenerate_count(basis: SchreierBasis) -> int:
@@ -89,27 +102,44 @@ def degenerate_count(basis: SchreierBasis) -> int:
 def degenerate_pair_of_rep(table: CosetTable, transversal: SchreierTransversal, c: int) -> tuple[int, int]:
     """The tree edge into coset c: its degenerate (coset, generator) pair.
 
-    The rep at c must be its parent's rep plus one letter, the parent
-    being one inverse step back in the table, else :class:`InvariantError`.
     The edge is (parent, x) for a last letter x, and (c, x) for x^-1.
     """
     if c == 0:
         raise ValueError("coset 0 has the empty representative")
-    r = transversal.reps[c]
-    if r.alphabet is not table.action.alphabet and r.alphabet != table.action.alphabet:
+    if not 0 < c < table.num_cosets:
+        raise ValueError(f"coset {c} out of range for {table.num_cosets} cosets")
+    return _tree_edges(table, transversal, range(c, c + 1))[0]
+
+
+def _tree_edges(table: CosetTable, transversal: SchreierTransversal, cosets=None) -> list[tuple[int, int]]:
+    """The degenerate pairs of the tree edges into the range ``cosets``, by default 1..m-1.
+
+    Checks the transversal's size for the default, and each edge, else
+    InvariantError: one from ``build_table`` must step the table from an
+    earlier coset, in O(1); a rep built from words must be its parent's
+    plus one letter, in O(|t|).
+    """
+    alphabet, tree = table.action.alphabet, transversal._tree
+    reps = transversal.reps if tree is None else None
+    if cosets is None:
+        cosets = range(1, table.num_cosets)
+        count = len(tree) + 1 if tree is not None else len(reps)
+        if count != table.num_cosets or tree is None and reps[0].letters:
+            raise InvariantError(_NOT_SCHREIER)
+    alphabets = [transversal._alphabet] if tree is not None else [reps[c].alphabet for c in cosets]
+    if any(a is not alphabet and a != alphabet for a in alphabets):
         raise ValueError("alphabet mismatch")
-    if not r.letters:
-        raise InvariantError(_NOT_SCHREIER)
-    last = r.letters[-1]
-    parent = table.graph.step(c, r.alphabet._inverse[last])
-    if r.letters[:-1] != transversal.reps[parent].letters:
-        raise InvariantError(_NOT_SCHREIER)
-    return (parent, last.gen) if last.sign > 0 else (c, last.gen)
-
-
-def _tree_edges(table: CosetTable, transversal: SchreierTransversal) -> list[tuple[int, int]]:
-    """The m - 1 tree edges in coset order, checking the whole transversal."""
-    reps = transversal.reps
-    if len(reps) != table.num_cosets or reps[0].letters:
-        raise InvariantError(_NOT_SCHREIER)
-    return [degenerate_pair_of_rep(table, transversal, c) for c in range(1, len(reps))]
+    if tree is not None:
+        steps = table.graph._steps
+        edges = [tree[c - 1] for c in cosets]
+        if not all(parent < c and steps[lt][parent] == c for c, (parent, lt) in zip(cosets, edges)):
+            raise InvariantError(_NOT_SCHREIER)
+    else:
+        edges = []
+        for c in cosets:
+            r = reps[c]
+            parent = table.graph.step(c, alphabet._inverse[r.letters[-1]]) if r.letters else 0
+            if not r.letters or r.letters[:-1] != reps[parent].letters:
+                raise InvariantError(_NOT_SCHREIER)
+            edges.append((parent, r.letters[-1]))
+    return [(parent, lt.gen) if lt.sign > 0 else (c, lt.gen) for c, (parent, lt) in zip(cosets, edges)]

@@ -9,8 +9,8 @@ the set is closed under taking prefixes.
 from dataclasses import dataclass
 
 from . import words
-from .actions import FiniteAction, Permutation, _bfs, evaluate
-from .words import Word
+from .actions import FiniteAction, _bfs, _perm, evaluate
+from .words import Letter, Word
 
 __all__ = [
     "CosetTable",
@@ -43,13 +43,40 @@ class CosetTable:
 
 @dataclass(frozen=True)
 class SchreierTransversal:
-    """One representative word per coset; reps[0] is the empty word."""
+    """One representative word per coset; reps[0] is the empty word.
+
+    One from ``build_table`` holds its BFS tree, a Schreier vector:
+    ``_tree[c - 1]`` is the edge (parent, letter) into coset c, parents
+    numbered first.  ``reps`` is spelled out from it on first read and kept.
+    """
 
     reps: tuple[Word, ...]
+    _tree = None  # not a field: set only by build_table
+
+    def __getattr__(self, name):
+        if name != "reps" or self._tree is None:
+            raise AttributeError(name)
+        letters = [()]
+        for parent, lt in self._tree:
+            # Never cancels: undoing the parent's last letter leads to an earlier coset.
+            letters.append(letters[parent] + (lt,))
+        reps = tuple(words._word(self._alphabet, t) for t in letters)
+        object.__setattr__(self, "reps", reps)
+        return reps
+
+    def _rep_letters(self, c: int) -> tuple[Letter, ...]:
+        """The letters of reps[c], walking up the tree in O(|t|) while ``reps`` is unbuilt."""
+        if "reps" in self.__dict__:
+            return self.reps[c].letters
+        up = []
+        while c:
+            c, lt = self._tree[c - 1]
+            up.append(lt)
+        return tuple(reversed(up))
 
 
 def build_table(act: FiniteAction, basepoint: int) -> tuple[CosetTable, SchreierTransversal]:
-    """Scan the basepoint orbit breadth-first and record representatives.
+    """Scan the basepoint orbit breadth-first and keep its tree as the transversal.
 
     Letters are tried in shortlex order (per generator, positive before
     negative), so each coset is first reached by its shortlex-least
@@ -59,14 +86,11 @@ def build_table(act: FiniteAction, basepoint: int) -> tuple[CosetTable, Schreier
     if not 0 <= basepoint < act.degree:
         raise ValueError(f"basepoint {basepoint} out of range for degree {act.degree}")
     points, index, edges = _bfs(act, basepoint)
-    reps = [words.identity(act.alphabet)]
-    for parent, lt in edges:
-        # Never cancels: undoing the last letter of the parent's rep
-        # leads back to its own parent, which was reached earlier.
-        reps.append(words._word(act.alphabet, reps[parent].letters + (lt,)))
     graph = FiniteAction(act.alphabet, len(points), tuple(
-        Permutation(tuple(index[perm.images[p]] for p in points)) for perm in act.gen_perms))
-    return CosetTable(act, basepoint, tuple(points), graph), SchreierTransversal(tuple(reps))
+        _perm(tuple(map(index.__getitem__, map(perm.images.__getitem__, points)))) for perm in act.gen_perms))
+    transversal = object.__new__(SchreierTransversal)
+    transversal.__dict__.update(_alphabet=act.alphabet, _tree=tuple(edges))
+    return CosetTable(act, basepoint, tuple(points), graph), transversal
 
 
 def coset_of(table: CosetTable, w: Word) -> int:

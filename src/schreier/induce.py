@@ -75,15 +75,12 @@ def induce(sigma: HAction, table: CosetTable, transversal: SchreierTransversal, 
     # Reps walk tree edges only, so they leave A alone iff those are degenerate.
     if any(basis.index[pair] is not None for pair in _tree_edges(table, transversal)):
         raise InvariantError("transversal words must move cosets without touching A")
+    # Point a + d*c goes to sigma_k(a) + d*c2, or to a + d*c2 when degenerate.
+    moves = [p.images for p in sigma.perms]
     gen_perms = []
     for g, perm in enumerate(table.graph.gen_perms):
-        images = [0] * (d * m)
-        for c, c2 in enumerate(perm.images):
-            k = basis.index[(c, g)]
-            for a in range(d):
-                a2 = sigma.perms[k](a) if k is not None else a
-                images[a + d * c] = a2 + d * c2
-        gen_perms.append(Permutation(tuple(images)))
+        rows = [range(d) if k is None else moves[k] for k in (basis.index[(c, g)] for c in range(m))]
+        gen_perms.append(actions._perm(tuple([a2 + d * c2 for row, c2 in zip(rows, perm.images) for a2 in row])))
     return InducedAction(FiniteAction(table.action.alphabet, d * m, tuple(gen_perms)), d, m)
 
 

@@ -26,6 +26,16 @@ def test_permutation_validation():
         s.Permutation(())
 
 
+def test_checked_constructors_keep_their_messages():
+    # Kernels build permutations unchecked; the public constructor still checks.
+    with pytest.raises(ValueError, match=r"^invalid permutation: \[0, 0\] is not a bijection of 0\.\.1$"):
+        s.Permutation((0, 0))
+    with pytest.raises(ValueError, match=r"^invalid permutation: \[\] is not a bijection of 0\.\.-1$"):
+        s.Permutation.identity(0)
+    with pytest.raises(s.ActionParseError, match=r"^line 3: invalid permutation: \[1, 1\]"):
+        s.parse_action_text("degree 2\ngenerators x\nperm x 1 1\n")
+
+
 def test_permutation_basics():
     p = s.Permutation((1, 2, 0))
     assert p.degree == 3 and p(0) == 1

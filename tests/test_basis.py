@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import schreier
 import schreier as s
 from helpers import make_action, random_transitive_perms
 
@@ -151,6 +152,11 @@ def test_degenerate_pair_of_rep_rejects_identity_rep():
     table, tr = s.build_table(CYCLE3, 0)
     with pytest.raises(ValueError, match="empty representative"):
         s.degenerate_pair_of_rep(table, tr, 0)
+    # Out-of-range cosets, on the tree and on the same reps given as words.
+    for transversal in (tr, s.SchreierTransversal(tuple(tr.reps))):
+        for c in (-1, 3):
+            with pytest.raises(ValueError, match=f"coset {c} out of range for 3 cosets"):
+                s.degenerate_pair_of_rep(table, transversal, c)
 
 
 def test_equal_bases_hash_equal():
@@ -159,3 +165,66 @@ def test_equal_bases_hash_equal():
     assert first == second and hash(first) == hash(second)
     assert len({first, second}) == 1
     assert second.index[(1, 0)] == 1
+
+
+def _dihedral(m):
+    return make_action(("x", "y"), [[(i + 1) % m for i in range(m)], [(-i) % m for i in range(m)]])
+
+
+DIHEDRAL = _dihedral(2000)
+
+
+def _count_built_words(monkeypatch):
+    """Record the length of every word the library builds from here on."""
+    built = []
+    real = schreier.words._word
+
+    def counting(alphabet, letters):
+        built.append(len(letters))
+        return real(alphabet, letters)
+
+    monkeypatch.setattr(schreier.words, "_word", counting)
+    return built
+
+
+def test_set_up_rewrite_and_induce_build_no_word(monkeypatch):
+    # The reps reach m/2 letters here, so building them all would cost about m^2/4.
+    w = DIHEDRAL.alphabet.word("x^2000")
+    built = _count_built_words(monkeypatch)
+    table, tr = s.build_table(DIHEDRAL, 0)
+    basis = s.compute_basis(table, tr)
+    assert s.contains(table, w)
+    bw = s.rewrite(table, tr, basis, w)
+    sigma = s.HAction(3, (s.Permutation((1, 2, 0)),) * len(basis.elements))
+    ind = s.induce(sigma, table, tr, basis)
+    assert s.degenerate_pair_of_rep(table, tr, table.num_cosets - 1) in basis.index
+    assert built == []
+    assert len(basis.elements) == 2001 and len(bw) == 1 and ind.base.degree == 6000
+
+
+def test_expand_builds_only_the_words_of_its_factors(monkeypatch):
+    table, tr = s.build_table(DIHEDRAL, 0)
+    basis = s.compute_basis(table, tr)
+    ab = DIHEDRAL.alphabet
+    for text, length in [("x^2000", 2000), ("x^3 y x^3", 7), ("x^-700 y x^-700", 1401)]:
+        h = ab.word(text)
+        bw = s.rewrite(table, tr, basis, h)
+        built = _count_built_words(monkeypatch)
+        (k, _), = bw.factors
+        assert s.expand(basis, bw) == h
+        # One basis word t x rep(tx)^-1 of |t| + 1 + |rep(tx)| letters, then the result.
+        assert built == [length, length] and len(basis.elements[k].word) == length
+        monkeypatch.undo()
+
+
+def test_a_tree_from_another_table_is_rejected():
+    _, tr = s.build_table(DIHEDRAL, 0)
+    x, y = DIHEDRAL.gen_perms
+    for act in (make_action(("x", "y"), [y.images, x.images]), _dihedral(1999)):
+        table, own = s.build_table(act, 0)
+        basis = s.compute_basis(table, own)
+        sigma = s.HAction(1, (s.Permutation((0,)),) * len(basis.elements))
+        with pytest.raises(s.InvariantError, match="^not a Schreier transversal of this table$"):
+            s.compute_basis(table, tr)
+        with pytest.raises(s.InvariantError, match="^not a Schreier transversal of this table$"):
+            s.induce(sigma, table, tr, basis)

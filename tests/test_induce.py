@@ -276,5 +276,34 @@ def test_invariants_raise_under_python_O():
     assert proc.stdout.count("raised") == 4
 
 
+_FOREIGN_TREE = """
+import schreier as s
+
+def dihedral(x, y):
+    return s.FiniteAction(s.Alphabet(("x", "y")), 4, (s.Permutation(x), s.Permutation(y)))
+
+rotate, reflect = (1, 2, 3, 0), (0, 3, 2, 1)
+_, tree = s.build_table(dihedral(rotate, reflect), 0)
+table, own = s.build_table(dihedral(reflect, rotate), 0)
+basis = s.compute_basis(table, own)
+sigma = s.HAction(1, (s.Permutation((0,)),) * len(basis.elements))
+for call in (lambda: s.compute_basis(table, tree), lambda: s.induce(sigma, table, tree, basis)):
+    try:
+        call()
+    except s.InvariantError as exc:
+        print("raised", exc)
+    else:
+        raise SystemExit("a tree from another table was accepted")
+"""
+
+
+def test_a_tree_from_another_table_is_rejected_under_python_O():
+    src = str(Path(s.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", _FOREIGN_TREE], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    assert proc.stdout == "raised not a Schreier transversal of this table\n" * 2
+
+
 def test_invariant_error_is_an_assertion_error():
     assert issubclass(s.InvariantError, AssertionError)

@@ -293,3 +293,53 @@ def test_induce_restricts_to_sigma_and_agrees_with_the_transfer_formula(case, da
     g = s.reduce(alphabet, raw)
     a2, c2 = s.tensor_action_generic(sigma, table, tr, basis, a, w_prior, g)
     assert s.evaluate(ind.base, ind.encode(a, s.coset_of(table, w_prior)), g) == ind.encode(a2, c2)
+
+
+def _is_bijection(perm: s.Permutation) -> bool:
+    return sorted(perm.images) == list(range(len(perm.images)))
+
+
+@given(action_with_transversals(), st.data())
+def test_unchecked_permutations_are_bijections(case, data):
+    # These permutations skip the constructor's sort: each composes or
+    # relabels permutations that were checked.
+    perms, table, tr, raw = case
+    act = table.action
+    p = s.perm_of_word(act, s.reduce(act.alphabet, raw))
+    q = s.perm_of_word(act, s.reduce(act.alphabet, data.draw(_raw(len(perms), max_size=8)) if perms else ()))
+    basis = s.compute_basis(table, tr)
+    d = data.draw(st.integers(1, 3))
+    sigma = s.HAction(d, tuple(s.Permutation(tuple(data.draw(st.permutations(range(d)))))
+                               for _ in basis.elements))
+    built = [p, q, p.inverse, p.then(q), s.Permutation.identity(act.degree), *table.graph.gen_perms,
+             *s.induce(sigma, table, tr, basis).base.gen_perms]
+    assert all(_is_bijection(perm) for perm in built)
+
+
+@given(action_with_transversals(), st.data())
+def test_tree_backed_and_word_built_transversals_agree(case, data):
+    perms, table, drawn, _ = case
+    table, tree = s.build_table(table.action, table.basepoint)
+    alphabet, n = table.action.alphabet, len(perms)
+    d = data.draw(st.integers(1, 3))
+    tree_basis = s.compute_basis(table, tree)
+    sigma = s.HAction(d, tuple(s.Permutation(tuple(data.draw(st.permutations(range(d)))))
+                               for _ in tree_basis.elements))
+    hs = []
+    for _ in range(3):
+        u = s.reduce(alphabet, data.draw(_raw(n, max_size=10)) if n else ())
+        hs.append(s.concat(u, s.invert(s.rep(table, drawn, u))))
+    # Read the tree-backed side first, so its basis words are spelled
+    # from the tree before the full list of representatives is needed.
+    tree_side = ([s.rewrite(table, tree, tree_basis, h) for h in hs],
+                 [s.expand(tree_basis, s.rewrite(table, tree, tree_basis, h)) for h in hs],
+                 s.induce(sigma, table, tree, tree_basis))
+    words = s.SchreierTransversal(tuple(tree.reps))
+    assert tree == words and words == tree and hash(tree) == hash(words)
+    words_basis = s.compute_basis(table, words)
+    assert tree_basis.elements == words_basis.elements and tree_basis.index == words_basis.index
+    assert tree_basis == words_basis and hash(tree_basis) == hash(words_basis)
+    assert tree_side == ([s.rewrite(table, words, words_basis, h) for h in hs],
+                         [s.expand(words_basis, s.rewrite(table, words, words_basis, h)) for h in hs],
+                         s.induce(sigma, table, words, words_basis))
+    assert tree_side[1] == hs
