@@ -10,7 +10,7 @@ collapse to 1; the other pairs give a free basis of 1 + m(n - 1) words.
 from dataclasses import dataclass, field
 
 from . import words
-from .cosets import CosetTable, SchreierTransversal
+from .cosets import CosetTable, SchreierTransversal, _tree_path
 from .words import Alphabet, Word
 
 __all__ = [
@@ -32,26 +32,34 @@ class InvariantError(AssertionError):
     """
 
 
+class _Sourced:
+    __slots__ = ("_source",)  # outside the dataclass fields: fields(), asdict() and == skip it
+
+
 @dataclass(frozen=True, slots=True)
-class BasisElement:
+class BasisElement(_Sourced):
     """One basis word t x (rep(tx))^-1 with its defining pair.
 
     ``compute_basis`` leaves the word unbuilt and ``_source`` set to the
-    alphabet, the transversal and the table's image tuple per generator:
+    alphabet, the transversal and the table's image tuple per signed letter:
     the word is spelled out on first read, in O(|t| + |rep(tx)|), and kept.
     """
 
     coset: int
     gen: int
     word: Word
-    _source: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __getattr__(self, name):
-        if name != "word" or self._source is None:
+        if name != "word":
             raise AttributeError(name)
-        alphabet, tr, forward = self._source
-        u = words._inverse_letters(alphabet, tr._rep_letters(forward[self.gen][self.coset]))
-        word = words._word(alphabet, tr._rep_letters(self.coset) + (alphabet._letters[2 * self.gen],) + u)
+        alphabet, tr, steps = self._source
+        x, tx = alphabet._letters[2 * self.gen], steps[alphabet._letters[2 * self.gen]][self.coset]
+        if "reps" in tr.__dict__:  # spelled out already: join two reps
+            t, u = tr.reps[self.coset].letters, tr.reps[tx].letters
+        else:
+            view = tr._view(steps)
+            t, u = (tuple(map(alphabet._letters.__getitem__, _tree_path(view, 0, c))) for c in (self.coset, tx))
+        word = words._word(alphabet, t + (x,) + words._inverse_letters(alphabet, u))
         object.__setattr__(self, "word", word)
         return word
 
@@ -63,6 +71,7 @@ class SchreierBasis:
     ``index`` maps every (coset, generator) pair to the position of its
     basis element, or to None when the pair is degenerate.  It is
     determined by ``elements``, so equality and hashing leave it out.
+    One from ``compute_basis`` also keeps the elements' shared ``_source``.
     """
 
     alphabet: Alphabet
@@ -85,13 +94,15 @@ def compute_basis(table: CosetTable, transversal: SchreierTransversal) -> Schrei
     free = [pair for pair in pairs if pair not in tree]
     index: dict[tuple[int, int], int | None] = dict.fromkeys(pairs)
     index.update(zip(free, range(len(free))))
-    source = (alphabet, transversal, [perm.images for perm in table.graph.gen_perms])
+    source = (alphabet, transversal, table.graph._steps)
     elements = tuple(object.__new__(BasisElement) for _ in free)
     for e, (c, g) in zip(elements, free):
         object.__setattr__(e, "coset", c)
         object.__setattr__(e, "gen", g)
         object.__setattr__(e, "_source", source)
-    return SchreierBasis(alphabet, table.num_cosets, elements, index)
+    basis = SchreierBasis(alphabet, table.num_cosets, elements, index)
+    object.__setattr__(basis, "_source", source)
+    return basis
 
 
 def degenerate_count(basis: SchreierBasis) -> int:

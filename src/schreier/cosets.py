@@ -64,15 +64,35 @@ class SchreierTransversal:
         object.__setattr__(self, "reps", reps)
         return reps
 
-    def _rep_letters(self, c: int) -> tuple[Letter, ...]:
-        """The letters of reps[c], walking up the tree in O(|t|) while ``reps`` is unbuilt."""
-        if "reps" in self.__dict__:
-            return self.reps[c].letters
-        up = []
-        while c:
-            c, lt = self._tree[c - 1]
-            up.append(lt)
-        return tuple(reversed(up))
+    def _view(self, steps) -> tuple[list[int], list[int], list[int]]:
+        """Parent, letter code and a rank above the parent's per coset, kept from the first call, in O(m).
+
+        A tree numbers parents first, so the rank is the coset.  Otherwise it is the depth, and the parent
+        is a rep's last letter stepped back by the table's ``steps``, once ``compute_basis`` checked the reps."""
+        if "_tree_view" not in self.__dict__:
+            if self._tree is not None:
+                edges, ranks = self._tree, list(range(len(self._tree) + 1))
+            else:
+                last = [r.letters[-1] for r in self.reps[1:]]
+                edges = [(steps[Letter(lt.gen, -lt.sign)][c], lt) for c, lt in enumerate(last, 1)]
+                ranks = [len(r) for r in self.reps]
+            parents, codes = [0] + [p for p, _ in edges], [0] + [2 * lt.gen + (lt.sign < 0) for _, lt in edges]
+            object.__setattr__(self, "_tree_view", (parents, codes, ranks))
+        return self._tree_view
+
+
+def _tree_path(view, a: int, b: int) -> list[int]:
+    """The letter codes of the tree path from coset a to coset b, in O(its length)."""
+    parents, codes, ranks = view
+    up, down = [], []
+    while a != b:  # climb from the higher rank until the two meet
+        if ranks[a] >= ranks[b]:
+            up.append(codes[a] ^ 1)
+            a = parents[a]
+        else:
+            down.append(codes[b])
+            b = parents[b]
+    return up + down[::-1]
 
 
 def build_table(act: FiniteAction, basepoint: int) -> tuple[CosetTable, SchreierTransversal]:

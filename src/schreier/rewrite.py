@@ -12,8 +12,8 @@ from typing import Iterable
 
 from . import words
 from .basis import SchreierBasis
-from .cosets import CosetTable, SchreierTransversal, coset_of
-from .words import Letter, Word
+from .cosets import CosetTable, SchreierTransversal, _tree_path, coset_of
+from .words import Word
 
 __all__ = [
     "BWord",
@@ -61,53 +61,82 @@ def contains(table: CosetTable, w: Word) -> bool:
 
 
 def rewrite(table: CosetTable, transversal: SchreierTransversal, basis: SchreierBasis, w: Word) -> BWord:
-    """Express a stabilizer element as a reduced word over the basis.
+    """Express a stabilizer element as a reduced word over the basis, in O(|w|).
 
     Raises :class:`NotInSubgroupError` when the scan does not end at
-    coset 0.  Cancelling factors produced at letter boundaries are
-    merged away eagerly.
+    coset 0.  The factors need no reduction: w is reduced, so its walk
+    never crosses a non-tree edge and back with only tree edges between.
     """
     if w.alphabet != table.action.alphabet:
         raise ValueError("alphabet mismatch")
     steps = table.graph._steps
-    index = basis.index
-    factors: list[tuple[int, int]] = []
+    # Per signed letter, by coset, the factor it emits there: k for (k, 1), ~k for (k, -1), or None;
+    # x^-1 at coset c undoes the pair (c x^-1, x).  Built in O(m·n) on first use, kept for these steps.
+    if basis.__dict__.get("_factor_table", (None,))[0] is not steps:
+        emits = {}
+        for lt, images in steps.items():
+            ks = [basis.index[(c, lt.gen)] for c in range(len(images))]
+            emits[lt] = tuple(ks) if lt.sign > 0 else tuple(None if ks[d] is None else ~ks[d] for d in images)
+        object.__setattr__(basis, "_factor_table", (steps, emits))
+    emits = basis._factor_table[1]
+    factors: list[int] = []
     c = 0
     for lt in w.letters:
-        nxt = steps[lt][c]
-        k = index[(c, lt.gen) if lt.sign > 0 else (nxt, lt.gen)]
-        if k is not None:
-            if factors and factors[-1] == (k, -lt.sign):
-                factors.pop()
-            else:
-                factors.append((k, lt.sign))
-        c = nxt
+        f = emits[lt][c]
+        c = steps[lt][c]
+        if f is not None:
+            factors.append(f)
     if c != 0:
         raise NotInSubgroupError(c)
-    return BWord(tuple(factors))
+    bw = object.__new__(BWord)
+    object.__setattr__(bw, "factors", tuple((f, 1) if f >= 0 else (~f, -1) for f in factors))
+    return bw
 
 
 def expand(basis: SchreierBasis, bw: BWord | Iterable[tuple[int, int]]) -> Word:
-    """Substitute basis words for factors and reduce, in O(total factor length).
+    """Multiply out a word over the basis and reduce it onto one stack.
 
     Accepts a BWord or any (index, sign) sequence with signs +1 or -1;
-    unreduced sequences are fine.  Each factor's letters (inverted for
-    sign -1) go onto one stack, and only the letters where a factor
-    meets the stack can cancel, since each basis word is already
-    reduced.
+    unreduced sequences are fine.  On a basis from ``compute_basis`` this
+    walks the Schreier graph, in O(k + |result|) for k reduced factors: the
+    factor on the pair (c, x) is the tree path to c, then x (for sign -1,
+    the path to cx, then x^-1), and a last path leads back to coset 0.  On
+    a hand-built basis each factor's word goes on, in O(|b1| + ... + |bk|).
     """
     factors = bw.factors if isinstance(bw, BWord) else bw
-    elements = basis.elements
-    stack: list[Letter] = []
+    elements, alphabet, letters = basis.elements, basis.alphabet, basis.alphabet._letters
+    _, tr, steps = basis.__dict__.get("_source", (None, None, None))
+    view = tr._view(steps) if tr is not None else None
+    stack: list[int] = []
+    c = 0
     for k, s in factors:
         if not 0 <= k < len(elements):
             raise ValueError(f"basis index {k} out of range")
-        letters = elements[k].word.letters
-        if s != 1:
-            if s != -1:
-                raise ValueError(f"factor sign must be +1 or -1, got {s}")
-            letters = words._inverse_letters(basis.alphabet, letters)
-        cut = words._cancel_point(basis.alphabet, stack, letters)
-        del stack[len(stack) - cut:]
-        stack.extend(letters[cut:])
-    return words._word(basis.alphabet, tuple(stack))
+        if s not in (1, -1):
+            raise ValueError(f"factor sign must be +1 or -1, got {s}")
+        e = elements[k]
+        if view is None:  # a hand-built basis: push the factor's word, read backwards and inverted for s = -1
+            _push(stack, [alphabet._codes[lt] ^ (s < 0) for lt in e.word.letters[::int(s)]])
+            continue
+        a, code = e.coset, 2 * e.gen  # the edge from coset a; read once, as __getattr__ slows e's reads
+        b = steps[letters[code]][a]
+        if s == -1:
+            a, b, code = b, a, code + 1
+        if c != a:
+            _push(stack, _tree_path(view, c, a))
+        if stack and stack[-1] == code ^ 1:
+            stack.pop()
+        else:
+            stack.append(code)
+        c = b
+    _push(stack, _tree_path(view, c, 0) if view else [])
+    return words._word(alphabet, tuple(map(letters.__getitem__, stack)))
+
+
+def _push(stack: list[int], codes: list[int]) -> None:
+    """Push reduced letter codes onto a reduced stack: only their junction can cancel."""
+    i = 0
+    while i < len(codes) and stack and stack[-1] == codes[i] ^ 1:
+        stack.pop()
+        i += 1
+    stack += codes[i:]

@@ -47,10 +47,6 @@ class Letter(NamedTuple):
     gen: int
     sign: int
 
-    def key(self) -> int:
-        # Letter order x0 < x0^-1 < x1 < x1^-1 < ... used by shortlex.
-        return 2 * self.gen + (1 if self.sign < 0 else 0)
-
 
 @dataclass(frozen=True)
 class Alphabet:
@@ -67,12 +63,13 @@ class Alphabet:
         if len(set(names)) != len(names):
             raise ValueError("generator names must be distinct")
         # One shared Letter per signed generator, indexed by its code
-        # 2g + (sign < 0), i.e. Letter.key(), so the inverse is code ^ 1.
-        # Words over this alphabet hold these objects, not a new tuple
-        # per letter.
+        # 2g + (sign < 0), so the inverse is code ^ 1 and codes sort in
+        # shortlex letter order x0 < x0^-1 < x1 < ...  Words over this
+        # alphabet hold these objects, not a new tuple per letter.
         letters = tuple(Letter(g, sign) for g in range(len(names)) for sign in (1, -1))
         object.__setattr__(self, "_letters", letters)
         object.__setattr__(self, "_inverse", {lt: letters[code ^ 1] for code, lt in enumerate(letters)})
+        object.__setattr__(self, "_codes", {lt: code for code, lt in enumerate(letters)})
 
     def __len__(self) -> int:
         return len(self.names)
@@ -121,7 +118,7 @@ class Word:
         return not self.letters
 
     def shortlex_key(self) -> tuple[int, tuple[int, ...]]:
-        return (len(self.letters), tuple(lt.key() for lt in self.letters))
+        return (len(self.letters), tuple(map(self.alphabet._codes.__getitem__, self.letters)))
 
     def __lt__(self, other) -> bool:
         if not isinstance(other, Word):
@@ -185,25 +182,18 @@ def reduce(alphabet: Alphabet, raw: Iterable[tuple[int, int]]) -> Word:
     return _word(alphabet, tuple(map(alphabet._letters.__getitem__, stack)))
 
 
-def _cancel_point(alphabet: Alphabet, left: tuple[Letter, ...] | list[Letter],
-                  right: tuple[Letter, ...]) -> int:
-    """How many letters cancel where reduced ``left`` meets reduced ``right``.
-
-    Only the junction can cancel, so this costs O(cancelled letters).
-    """
-    inverse = alphabet._inverse
-    i, k, top = len(left), 0, min(len(left), len(right))
-    while k < top and left[i - 1 - k] == inverse[right[k]]:
-        k += 1
-    return k
-
-
 def concat(w: Word, v: Word) -> Word:
-    """Group multiplication: reduce w followed by v."""
+    """Group multiplication: reduce w followed by v.
+
+    Both are reduced, so only their junction can cancel: O(|w| + |v|).
+    """
     if w.alphabet != v.alphabet:
         raise ValueError("alphabet mismatch")
-    k = _cancel_point(w.alphabet, w.letters, v.letters)
-    return _word(w.alphabet, w.letters[:len(w.letters) - k] + v.letters[k:])
+    left, right, inverse = w.letters, v.letters, w.alphabet._inverse
+    k, top = 0, min(len(left), len(right))
+    while k < top and left[-1 - k] == inverse[right[k]]:
+        k += 1
+    return _word(w.alphabet, left[:len(left) - k] + right[k:])
 
 
 def _inverse_letters(alphabet: Alphabet, letters: tuple[Letter, ...]) -> tuple[Letter, ...]:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -159,6 +160,19 @@ def test_degenerate_pair_of_rep_rejects_identity_rep():
                 s.degenerate_pair_of_rep(table, transversal, c)
 
 
+def test_basis_element_fields_leave_out_its_source():
+    table, tr = s.build_table(CYCLE3, 0)
+    basis = s.compute_basis(table, tr)
+    assert [f.name for f in dataclasses.fields(s.BasisElement)] == ["coset", "gen", "word"]
+    # asdict and astuple copy the fields only: one word, not the transversal's reps.
+    e = basis.elements[2]
+    assert dataclasses.asdict(e)["word"] == dataclasses.asdict(e.word)
+    assert dataclasses.astuple(e)[:2] == (e.coset, e.gen)
+    assert "reps" not in tr.__dict__
+    assert e == s.BasisElement(e.coset, e.gen, e.word)
+    assert repr(e) == "BasisElement(coset=1, gen=1, word=Word('x y x^-1'))"
+
+
 def test_equal_bases_hash_equal():
     first = s.compute_basis(*s.build_table(CYCLE3, 0))
     second = s.compute_basis(*s.build_table(CYCLE3, 0))
@@ -212,8 +226,10 @@ def test_expand_builds_only_the_words_of_its_factors(monkeypatch):
         built = _count_built_words(monkeypatch)
         (k, _), = bw.factors
         assert s.expand(basis, bw) == h
-        # One basis word t x rep(tx)^-1 of |t| + 1 + |rep(tx)| letters, then the result.
-        assert built == [length, length] and len(basis.elements[k].word) == length
+        # The result is the only word built: the basis word t x rep(tx)^-1
+        # is built later, when it is read, with |t| + 1 + |rep(tx)| letters.
+        assert built == [length]
+        assert len(basis.elements[k].word) == length and built == [length, length]
         monkeypatch.undo()
 
 

@@ -13,6 +13,7 @@ from helpers import (
     make_action,
     pairs_of_word,
     random_transitive_perms,
+    rewrite_by_words,
     word_from_pairs,
 )
 
@@ -111,10 +112,9 @@ def _basis_case(seed: int):
 BASES = [_basis_case(seed) for seed in range(8)]
 
 
-@st.composite
-def basis_and_factors(draw):
-    table, tr, basis = draw(st.sampled_from(BASES))
-    size = len(basis.elements)
+def _factors(draw, size: int) -> list[tuple[int, int]]:
+    if not size:
+        return []
     factor = st.tuples(st.integers(0, size - 1), st.sampled_from((1, -1)))
     head = draw(st.lists(factor, max_size=12))
     tail = draw(st.lists(factor, max_size=12))
@@ -122,7 +122,13 @@ def basis_and_factors(draw):
     # boundaries, not just letters at the junction of basis words.
     undo = draw(st.integers(0, len(head)))
     undone = [(k, -sign) for k, sign in reversed(head[len(head) - undo:])]
-    return (table, tr, basis), head + undone + tail
+    return head + undone + tail
+
+
+@st.composite
+def basis_and_factors(draw):
+    table, tr, basis = draw(st.sampled_from(BASES))
+    return (table, tr, basis), _factors(draw, len(basis.elements))
 
 
 @given(basis_and_factors())
@@ -138,7 +144,9 @@ def test_expand_agrees_with_expand_pairs(case):
 def test_expand_inverts_rewrite(case):
     (table, tr, basis), factors = case
     h = s.expand(basis, factors)
-    assert s.expand(basis, s.rewrite(table, tr, basis, h)) == h
+    bw = s.rewrite(table, tr, basis, h)
+    assert s.BWord(bw.factors) == bw
+    assert s.expand(basis, bw) == h
 
 
 @given(basis_and_factors(), st.integers(0, 24), st.sampled_from((0, 3, -1)))
@@ -343,3 +351,27 @@ def test_tree_backed_and_word_built_transversals_agree(case, data):
                          [s.expand(words_basis, s.rewrite(table, words, words_basis, h)) for h in hs],
                          s.induce(sigma, table, words, words_basis))
     assert tree_side[1] == hs
+
+
+@given(action_with_transversals(), st.data())
+def test_expand_and_rewrite_walk_the_schreier_graph(case, data):
+    perms, table, tr, _ = case
+    if tr._tree is not None:
+        # A fresh tree, whose reps no repr of the drawn case has spelled out.
+        table, tr = s.build_table(table.action, table.basepoint)
+    basis = s.compute_basis(table, tr)
+    factors = _factors(data.draw, len(basis.elements))
+    # Expand before any basis word is read: the walk must not need them.
+    got = s.expand(basis, factors)
+    assert tr._tree is None or "reps" not in tr.__dict__
+    basis_words = [pairs_of_word(e.word) for e in basis.elements]
+    assert pairs_of_word(got) == expand_pairs(basis_words, factors)
+    assert _revalidates(got)
+    by_hand = s.SchreierBasis(basis.alphabet, basis.num_cosets,
+                              tuple(s.BasisElement(e.coset, e.gen, e.word) for e in basis.elements), basis.index)
+    assert s.expand(by_hand, factors) == got
+    bw = s.rewrite(table, tr, basis, got)
+    assert s.BWord(bw.factors) == bw
+    reps = [pairs_of_word(r) for r in tr.reps]
+    assert bw.factors == rewrite_by_words(perms, table.basepoint, reps, basis_words, pairs_of_word(got))
+    assert s.rewrite(table, tr, by_hand, got) == bw
