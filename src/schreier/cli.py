@@ -23,7 +23,7 @@ from .actions import (
 )
 from .basis import compute_basis, degenerate_count
 from .checks import run_checks
-from .cosets import build_table, coset_of
+from .cosets import _texts, build_table, coset_of
 from .induce import haction_from_action, induce
 from .rewrite import NotInSubgroupError, expand, rewrite
 from .words import Alphabet, WordParseError
@@ -91,16 +91,17 @@ def _cmd_act(args) -> int:
 
 def _cmd_transversal(args) -> int:
     _, table, transversal = _setup(args)
-    for c, r in enumerate(transversal.reps):
-        _out(args, {"coset": c, "rep": str(r)}, f"{c} {r}")
+    for c, r in enumerate(_texts(table, transversal)[0]):
+        _out(args, {"coset": c, "rep": r}, f"{c} {r}")
     return 0
 
 
 def _cmd_basis(args) -> int:
     act, table, transversal = _setup(args)
     basis = compute_basis(table, transversal)
-    for k, e in enumerate(basis.elements):
-        t, name, word = str(transversal.reps[e.coset]), act.alphabet.names[e.gen], str(e.word)
+    reps, basis_words = _texts(table, transversal, [(e.coset, e.gen) for e in basis.elements])
+    for k, (e, word) in enumerate(zip(basis.elements, basis_words)):
+        t, name = reps[e.coset], act.alphabet.names[e.gen]
         _out(args, {"index": k, "rep": t, "generator": name, "word": word}, f"{k} {t} {name} {word}")
     count, degenerate = len(basis.elements), degenerate_count(basis)
     expected = 1 + table.num_cosets * (len(act.alphabet) - 1)

@@ -41,7 +41,7 @@ class CosetTable:
         return len(self.points)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class SchreierTransversal:
     """One representative word per coset; reps[0] is the empty word.
 
@@ -52,6 +52,11 @@ class SchreierTransversal:
 
     reps: tuple[Word, ...]
     _tree = None  # not a field: set only by build_table
+
+    def __repr__(self) -> str:
+        if "reps" in self.__dict__:
+            return f"SchreierTransversal(reps={self.reps!r})"
+        return f"SchreierTransversal(_tree={self._tree!r})"
 
     def __getattr__(self, name):
         if name != "reps" or self._tree is None:
@@ -93,6 +98,45 @@ def _tree_path(view, a: int, b: int) -> list[int]:
             down.append(codes[b])
             b = parents[b]
     return up + down[::-1]
+
+
+def _texts(table: CosetTable, transversal: SchreierTransversal, pairs=()):
+    """The text of every rep, and an iterator over the text of t x rep(tx)^-1 per (coset, generator) pair.
+
+    Reads the tree of a transversal from ``build_table`` and builds no word.  In one
+    pass, parents first, coset c keeps its rep t split at its last run: the text
+    before the run, the run's letter code and length, and the text of t^-1 after its
+    first run, which is the last run inverted.  A child bumps its parent's last run
+    or starts a new one.  A pair's word cancels no letter (see ``compute_basis``),
+    but x can merge with the runs on both sides of it.  O(m + len(pairs) + characters built).
+    """
+    names, images = transversal._alphabet.names, [p.images for p in table.graph.gen_perms]
+
+    def run(code: int, k: int) -> str:
+        return words._run(names[code >> 1], -k if code & 1 else k) if k else ""
+
+    parts = [("", 0, 0, "")]  # coset 0: no run
+    for parent, lt in transversal._tree:
+        head, code, k, tail = parts[parent]
+        new = 2 * lt.gen + (lt.sign < 0)
+        if new == code:
+            parts.append((head, code, k + 1, tail))
+        else:
+            parts.append((_join(head, run(code, k)), new, 1, _join(run(code ^ 1, k), tail)))
+
+    def basis_words():
+        for c, g in pairs:
+            head, code, k, _ = parts[c]
+            _, last, j, tail = parts[images[g][c]]
+            x, first = 2 * g, last ^ 1  # rep(tx)^-1 opens with rep(tx)'s last run inverted
+            mid = 1 + (k if code == x else 0) + (j if first == x else 0)
+            yield _join(head, "" if code == x else run(code, k), run(x, mid), "" if first == x else run(first, j), tail)
+
+    return [_join(head, run(code, k)) or "1" for head, code, k, _ in parts], basis_words()
+
+
+def _join(*texts: str) -> str:
+    return " ".join(filter(None, texts))
 
 
 def build_table(act: FiniteAction, basepoint: int) -> tuple[CosetTable, SchreierTransversal]:

@@ -265,20 +265,23 @@ def parse(text: str, alphabet: Alphabet) -> Word:
 
 def format_word(w: Word) -> str:
     """Canonical text: run-length factors joined by single spaces."""
-    if not w.letters:
+    letters, names = w.letters, w.alphabet.names
+    if not letters:
         return "1"
     parts = []
-    letters = w.letters
-    i = 0
-    while i < len(letters):
-        j = i
-        while j < len(letters) and letters[j] == letters[i]:
+    i, end = 0, len(letters)
+    while i < end:
+        lt, j = letters[i], i + 1
+        while j < end and letters[j] == lt:
             j += 1
-        k = (j - i) * letters[i].sign
-        name = w.alphabet.names[letters[i].gen]
-        parts.append(name if k == 1 else f"{name}^{k}")
+        parts.append(_run(names[lt.gen], (j - i) * lt.sign))
         i = j
     return " ".join(parts)
+
+
+def _run(name: str, k: int) -> str:
+    """One factor of the canonical text: ``name`` for k = 1, else ``name^k``."""
+    return name if k == 1 else f"{name}^{k}"
 
 
 def iter_reduced_words(alphabet: Alphabet, max_len: int) -> Iterator[Word]:

@@ -1,4 +1,4 @@
-"""Independent oracles for the test suite.
+"""Independent oracles for the test suite, and a probe that counts the words the library builds.
 
 Everything here works on raw (generator index, sign) pairs and plain
 permutation image lists, on purpose: these functions re-derive expected
@@ -11,6 +11,7 @@ single deterministic scan).
 import itertools
 import random
 
+import schreier.words
 from schreier import Alphabet, FiniteAction, Letter, Permutation, Word
 
 Pairs = tuple[tuple[int, int], ...]
@@ -169,3 +170,16 @@ def word_from_pairs(alphabet: Alphabet, pairs) -> Word:
 
 def pairs_of_word(w: Word) -> Pairs:
     return tuple((lt.gen, lt.sign) for lt in w.letters)
+
+
+def count_built_words(monkeypatch) -> list:
+    """Record the length of every word the library builds from here on."""
+    built = []
+    real = schreier.words._word
+
+    def counting(alphabet, letters):
+        built.append(len(letters))
+        return real(alphabet, letters)
+
+    monkeypatch.setattr(schreier.words, "_word", counting)
+    return built

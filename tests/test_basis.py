@@ -3,9 +3,8 @@ import random
 
 import pytest
 
-import schreier
 import schreier as s
-from helpers import make_action, random_transitive_perms
+from helpers import count_built_words, make_action, random_transitive_perms
 
 CYCLE3 = make_action(("x", "y"), [[1, 2, 0], [0, 1, 2]])
 SWAP = make_action(("x", "y"), [[1, 0], [0, 1]])
@@ -188,23 +187,10 @@ def _dihedral(m):
 DIHEDRAL = _dihedral(2000)
 
 
-def _count_built_words(monkeypatch):
-    """Record the length of every word the library builds from here on."""
-    built = []
-    real = schreier.words._word
-
-    def counting(alphabet, letters):
-        built.append(len(letters))
-        return real(alphabet, letters)
-
-    monkeypatch.setattr(schreier.words, "_word", counting)
-    return built
-
-
 def test_set_up_rewrite_and_induce_build_no_word(monkeypatch):
     # The reps reach m/2 letters here, so building them all would cost about m^2/4.
     w = DIHEDRAL.alphabet.word("x^2000")
-    built = _count_built_words(monkeypatch)
+    built = count_built_words(monkeypatch)
     table, tr = s.build_table(DIHEDRAL, 0)
     basis = s.compute_basis(table, tr)
     assert s.contains(table, w)
@@ -223,7 +209,7 @@ def test_expand_builds_only_the_words_of_its_factors(monkeypatch):
     for text, length in [("x^2000", 2000), ("x^3 y x^3", 7), ("x^-700 y x^-700", 1401)]:
         h = ab.word(text)
         bw = s.rewrite(table, tr, basis, h)
-        built = _count_built_words(monkeypatch)
+        built = count_built_words(monkeypatch)
         (k, _), = bw.factors
         assert s.expand(basis, bw) == h
         # The result is the only word built: the basis word t x rep(tx)^-1

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+import schreier as s
 import schreier.cli as cli
+from helpers import count_built_words, make_action
 from schreier import CheckResult
 from schreier.cli import main
 
@@ -66,6 +68,37 @@ def test_transversal_golden(capsys):
 def test_basis_golden(capsys):
     code, out, _ = run(capsys, ["basis", ACT])
     assert code == 0 and out == golden("basis.txt")
+
+
+def test_transversal_structured_golden(capsys):
+    code, out, _ = run(capsys, ["transversal", ACT, "--format", "structured"])
+    assert code == 0 and out == golden("transversal_structured.txt")
+
+
+def test_basis_structured_golden(capsys):
+    code, out, _ = run(capsys, ["basis", ACT, "--format", "structured"])
+    assert code == 0 and out == golden("basis_structured.txt")
+
+
+@pytest.mark.parametrize("command,lines", [("transversal", 40), ("basis", 42)])
+def test_listings_build_no_word(capsys, monkeypatch, tmp_path, command, lines):
+    # The reps of this dihedral action reach m/2 letters; the listings spell them from the tree.
+    m = 40
+    path = tmp_path / "dihedral.txt"
+    s.write_action_file(path, make_action(("x", "y"), [[(i + 1) % m for i in range(m)], [(-i) % m for i in range(m)]]))
+    trees = []
+
+    def recording(act, base):
+        table, tr = s.build_table(act, base)
+        trees.append(tr)
+        return table, tr
+
+    monkeypatch.setattr(cli, "build_table", recording)
+    built = count_built_words(monkeypatch)
+    code, out, _ = run(capsys, [command, str(path)])
+    (tr,) = trees
+    assert code == 0 and len(out.splitlines()) == lines
+    assert "reps" not in tr.__dict__ and built == []
 
 
 def test_member_yes(capsys):

@@ -42,6 +42,14 @@ def test_single_generator_cycle():
     assert [str(r) for r in tr.reps] == ["1", "x", "x^-1"]
 
 
+def test_repr_of_a_tree_builds_no_rep():
+    _, tr = s.build_table(CYCLE3, 0)
+    assert repr(tr) == f"SchreierTransversal(_tree={tr._tree!r})"
+    assert "reps" not in tr.__dict__
+    words = s.SchreierTransversal(tr.reps)
+    assert repr(words) == repr(tr) == f"SchreierTransversal(reps={tr.reps!r})"
+
+
 def test_basepoint_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
         s.build_table(CYCLE3, 3)

@@ -1,12 +1,19 @@
 """Property tests: the word kernels against the oracles in helpers.py."""
 
+import contextlib
+import io
+import json
+import os
 import random
+import tempfile
 
 import pytest
 from hypothesis import given, strategies as st
 
 import schreier as s
+import schreier.cli as cli
 from helpers import (
+    brute_factor_reduce,
     brute_reduce,
     ev_pairs,
     expand_pairs,
@@ -231,6 +238,87 @@ def action_with_transversals(draw):
     return perms, table, draw(st.sampled_from((shortlex, shuffled))), raw
 
 
+@given(alphabet_and_raws(3))
+def test_group_laws_agree_with_brute_reduce(case):
+    alphabet, raws = case
+    w, v, u = (s.reduce(alphabet, raw) for raw in raws)
+    joined = brute_reduce(pairs_of_word(w) + pairs_of_word(v) + pairs_of_word(u))
+    assert pairs_of_word(s.concat(s.concat(w, v), u)) == joined == pairs_of_word(s.concat(w, s.concat(v, u)))
+    e = s.identity(alphabet)
+    assert s.concat(w, e) == w == s.concat(e, w)
+    assert s.concat(w, s.invert(w)) == e == s.concat(s.invert(w), w)
+    assert s.invert(s.invert(w)) == w
+
+
+@given(action_with_transversals(), st.data())
+def test_rewrite_is_a_homomorphism_against_brute_factor_reduce(case, data):
+    perms, table, tr, raw = case
+    basis = s.compute_basis(table, tr)
+    alphabet = table.action.alphabet
+
+    def factors(h):
+        return s.rewrite(table, tr, basis, h).factors
+
+    other = data.draw(_raw(len(perms), max_size=12)) if perms else []
+    h1, h2 = (s.concat(u, s.invert(s.rep(table, tr, u))) for u in (s.reduce(alphabet, r) for r in (raw, other)))
+    assert factors(s.concat(h1, h2)) == brute_factor_reduce(factors(h1) + factors(h2))
+    assert factors(s.invert(h1)) == brute_factor_reduce(_inverse_pairs(factors(h1)))
+
+
+def _listings(act, base) -> dict[tuple[str, str], str]:
+    """What ``schreier transversal`` and ``schreier basis`` print on act, plain and structured."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "act.txt")
+        s.write_action_file(path, act)
+        for command in ("transversal", "basis"):
+            for fmt in ("plain", "structured"):
+                with contextlib.redirect_stdout(io.StringIO()) as buf:
+                    assert cli.main([command, path, "--base", str(base), "--format", fmt]) == 0
+                out[command, fmt] = buf.getvalue()
+    return out
+
+
+def _check_listings(act, base):
+    table, tr = s.build_table(act, base)
+    basis = s.compute_basis(table, tr)
+    names, reps = act.alphabet.names, [s.format_word(r) for r in tr.reps]
+    rows = [(k, reps[e.coset], names[e.gen], s.format_word(e.word)) for k, e in enumerate(basis.elements)]
+    counts = {"count": len(rows), "expected": 1 + table.num_cosets * (len(names) - 1),
+              "degenerate": s.degenerate_count(basis)}
+    plain = {
+        "transversal": [f"{c} {r}" for c, r in enumerate(reps)],
+        "basis": [" ".join(map(str, row)) for row in rows] + [" ".join(f"{k} {v}" for k, v in counts.items())],
+    }
+    structured = {
+        "transversal": [{"coset": c, "rep": r} for c, r in enumerate(reps)],
+        "basis": [dict(zip(("index", "rep", "generator", "word"), row)) for row in rows] + [counts],
+    }
+    printed = _listings(act, base)
+    for command in ("transversal", "basis"):
+        assert printed[command, "plain"].splitlines() == plain[command]
+        assert [json.loads(line) for line in printed[command, "structured"].splitlines()] == structured[command]
+
+
+@given(action_with_transversals())
+def test_listings_agree_with_format_word(case):
+    _, table, _, _ = case
+    _check_listings(table.action, table.basepoint)
+
+
+@pytest.mark.parametrize("names,images,base", [
+    ("xy", [[0], [0]], 0),                        # degree 1
+    ("", [], 2),                                  # no generators
+    ("x", [[1, 0, 3, 2]], 2),                     # not transitive, basepoint 2
+    ("xy", [[1, 2, 3, 0, 5, 4], [0, 2, 1, 3, 4, 5]], 3),
+    ("xy", [[(i + 1) % 12 for i in range(12)], [(i + 4) % 12 for i in range(12)]], 5),
+])
+def test_listings_agree_with_format_word_on_edge_cases(names, images, base):
+    degree = len(images[0]) if images else 3
+    act = s.FiniteAction(s.Alphabet(tuple(names)), degree, tuple(s.Permutation(tuple(p)) for p in images))
+    _check_listings(act, base)
+
+
 def _basis_oracle(perms, table, tr):
     """Elements and index from brute_reduce of t x rep(tx)^-1."""
     coset_of_point = {q: c for c, q in enumerate(table.points)}
@@ -357,7 +445,7 @@ def test_tree_backed_and_word_built_transversals_agree(case, data):
 def test_expand_and_rewrite_walk_the_schreier_graph(case, data):
     perms, table, tr, _ = case
     if tr._tree is not None:
-        # A fresh tree, whose reps no repr of the drawn case has spelled out.
+        # A fresh tree: Hypothesis prints a drawn dataclass from its fields, so its report reads ``reps``.
         table, tr = s.build_table(table.action, table.basepoint)
     basis = s.compute_basis(table, tr)
     factors = _factors(data.draw, len(basis.elements))
