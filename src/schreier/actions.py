@@ -141,26 +141,30 @@ def perm_of_word(act: FiniteAction, w: Word) -> Permutation:
     return _perm(tuple(images))
 
 
-def _bfs(act: FiniteAction, base: int) -> tuple[list[int], dict[int, int], list[tuple[int, Letter]]]:
+def _bfs(act: FiniteAction, base: int) -> tuple[list[int], dict[int, int], tuple[list[int], list[int], list[int]]]:
     """Breadth-first scan of the Schreier graph from base.
 
     Returns the orbit points in discovery order, each point's position
-    in that order, and for every point after the first the tree edge
-    (parent position, letter) that first reached it.  Letters are tried
-    in shortlex order, per generator and positive before negative.
+    in that order, and the BFS tree as a Schreier vector: per position,
+    the parent position, the letter code 2·gen + (sign < 0) of the edge
+    that first reached it and its depth (0, 0 and 0 for base).  Letters
+    are tried in shortlex order, per generator and positive before negative.
     """
-    steps = tuple(act._steps.items())  # in shortlex letter order
+    steps = tuple(enumerate(act._steps.values()))  # by letter code, in shortlex letter order
     points = [base]
     index = {base: 0}
-    edges: list[tuple[int, Letter]] = []
+    parents, codes, depths = [0], [0], [0]
     for pos, p in enumerate(points):  # points grows as it is scanned
-        for lt, images in steps:
+        depth = depths[pos] + 1
+        for code, images in steps:
             q = images[p]
             if q not in index:
                 index[q] = len(points)
                 points.append(q)
-                edges.append((pos, lt))
-    return points, index, edges
+                parents.append(pos)
+                codes.append(code)
+                depths.append(depth)
+    return points, index, (parents, codes, depths)
 
 
 def orbit(act: FiniteAction, base: int) -> list[int]:

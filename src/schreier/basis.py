@@ -42,26 +42,33 @@ class BasisElement(_Sourced):
 
     ``compute_basis`` leaves the word unbuilt and ``_source`` set to the
     alphabet, the transversal and the table's image tuple per signed letter:
-    the word is spelled out on first read, in O(|t| + |rep(tx)|), and kept.
+    the word is spelled out on first read, from t and rep(tx) or their tree
+    paths, in O(|t| + |rep(tx)|), and kept in its slot.
     """
 
     coset: int
     gen: int
     word: Word
 
-    def __getattr__(self, name):
-        if name != "word":
-            raise AttributeError(name)
-        alphabet, tr, steps = self._source
-        x, tx = alphabet._letters[2 * self.gen], steps[alphabet._letters[2 * self.gen]][self.coset]
-        if "reps" in tr.__dict__:  # spelled out already: join two reps
-            t, u = tr.reps[self.coset].letters, tr.reps[tx].letters
+
+def _read_word(e: BasisElement, get=BasisElement.word.__get__, put=BasisElement.word.__set__) -> Word:
+    try:
+        return get(e)
+    except AttributeError:  # unbuilt: join t, x and rep(tx)^-1, and keep the word
+        alphabet, tr, steps = e._source
+        x = alphabet._letters[2 * e.gen]
+        cosets = (e.coset, steps[x][e.coset])
+        if "reps" in tr.__dict__:  # spelled out already: two tuples join faster than two tree paths climb
+            t, u = (tr.reps[c].letters for c in cosets)
         else:
-            view = tr._view(steps)
-            t, u = (tuple(map(alphabet._letters.__getitem__, _tree_path(view, 0, c))) for c in (self.coset, tx))
+            t, u = (tuple(map(alphabet._letters.__getitem__, _tree_path(tr._tree, 0, c))) for c in cosets)
         word = words._word(alphabet, t + (x,) + words._inverse_letters(alphabet, u))
-        object.__setattr__(self, "word", word)
+        put(e, word)
         return word
+
+
+# Set after the class is made, so ``word`` stays a field and the element keeps its slots.
+BasisElement.word = property(_read_word, BasisElement.word.__set__)
 
 
 @dataclass(frozen=True)
@@ -125,32 +132,20 @@ def degenerate_pair_of_rep(table: CosetTable, transversal: SchreierTransversal, 
 def _tree_edges(table: CosetTable, transversal: SchreierTransversal, cosets=None) -> list[tuple[int, int]]:
     """The degenerate pairs of the tree edges into the range ``cosets``, by default 1..m-1.
 
-    Checks the transversal's size for the default, and each edge, else
-    InvariantError: one from ``build_table`` must step the table from an
-    earlier coset, in O(1); a rep built from words must be its parent's
-    plus one letter, in O(|t|).
+    Checks the Schreier vector against the table, else InvariantError: its
+    size and an empty reps[0], then per coset c, in O(1), a parent of smaller
+    depth that the letter steps to c.  Depths fall along parents, so every
+    coset's path leads back to coset 0: the vector is a spanning tree.
     """
-    alphabet, tree = table.action.alphabet, transversal._tree
-    reps = transversal.reps if tree is None else None
-    if cosets is None:
-        cosets = range(1, table.num_cosets)
-        count = len(tree) + 1 if tree is not None else len(reps)
-        if count != table.num_cosets or tree is None and reps[0].letters:
-            raise InvariantError(_NOT_SCHREIER)
-    alphabets = [transversal._alphabet] if tree is not None else [reps[c].alphabet for c in cosets]
-    if any(a is not alphabet and a != alphabet for a in alphabets):
+    parents, codes, depths = transversal._tree
+    if len(parents) != table.num_cosets or depths[0]:
+        raise InvariantError(_NOT_SCHREIER)
+    cosets = range(1, table.num_cosets) if cosets is None else cosets
+    alphabet = table.action.alphabet
+    if transversal._alphabet is not alphabet and transversal._alphabet != alphabet:
         raise ValueError("alphabet mismatch")
-    if tree is not None:
-        steps = table.graph._steps
-        edges = [tree[c - 1] for c in cosets]
-        if not all(parent < c and steps[lt][parent] == c for c, (parent, lt) in zip(cosets, edges)):
-            raise InvariantError(_NOT_SCHREIER)
-    else:
-        edges = []
-        for c in cosets:
-            r = reps[c]
-            parent = table.graph.step(c, alphabet._inverse[r.letters[-1]]) if r.letters else 0
-            if not r.letters or r.letters[:-1] != reps[parent].letters:
-                raise InvariantError(_NOT_SCHREIER)
-            edges.append((parent, r.letters[-1]))
-    return [(parent, lt.gen) if lt.sign > 0 else (c, lt.gen) for c, (parent, lt) in zip(cosets, edges)]
+    images = tuple(table.graph._steps.values())  # by letter code
+    edges = [(parents[c], codes[c]) for c in cosets]
+    if not all(p is not None and depths[p] < depths[c] and images[code][p] == c for c, (p, code) in zip(cosets, edges)):
+        raise InvariantError(_NOT_SCHREIER)
+    return [(c if code & 1 else p, code >> 1) for c, (p, code) in zip(cosets, edges)]

@@ -7,10 +7,11 @@ the set is closed under taking prefixes.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import words
 from .actions import FiniteAction, _bfs, _perm, evaluate
-from .words import Letter, Word
+from .words import Word
 
 __all__ = [
     "CosetTable",
@@ -45,53 +46,50 @@ class CosetTable:
 class SchreierTransversal:
     """One representative word per coset; reps[0] is the empty word.
 
-    One from ``build_table`` holds its BFS tree, a Schreier vector:
-    ``_tree[c - 1]`` is the edge (parent, letter) into coset c, parents
-    numbered first.  ``reps`` is spelled out from it on first read and kept.
+    Every transversal keeps a Schreier vector, ``_tree = (parents, codes,
+    depths)``: per coset, the coset of its rep minus the last letter, the
+    code 2·gen + (sign < 0) of that letter (0 for coset 0) and the rep's
+    length.  One from ``build_table`` holds its BFS tree, parents numbered
+    first, and spells out ``reps`` on first read.  One built from words
+    derives the vector once, in O(Σ|t|), with None for a parent whose word
+    is not a rep and ``_alphabet`` None where the reps mix alphabets.
     """
 
     reps: tuple[Word, ...]
-    _tree = None  # not a field: set only by build_table
+
+    def __post_init__(self):
+        index, alphabets = {r.letters: c for c, r in enumerate(self.reps)}, {r.alphabet for r in self.reps}
+        self.__dict__.update(_alphabet=alphabets.pop() if len(alphabets) == 1 else None, _tree=(
+            [index.get(r.letters[:-1]) for r in self.reps],
+            [r.alphabet._codes[r.letters[-1]] if r.letters else 0 for r in self.reps],
+            [len(r.letters) for r in self.reps]))
 
     def __repr__(self) -> str:
         if "reps" in self.__dict__:
             return f"SchreierTransversal(reps={self.reps!r})"
         return f"SchreierTransversal(_tree={self._tree!r})"
 
-    def __getattr__(self, name):
-        if name != "reps" or self._tree is None:
-            raise AttributeError(name)
-        letters = [()]
-        for parent, lt in self._tree:
-            # Never cancels: undoing the parent's last letter leads to an earlier coset.
-            letters.append(letters[parent] + (lt,))
-        reps = tuple(words._word(self._alphabet, t) for t in letters)
-        object.__setattr__(self, "reps", reps)
-        return reps
 
-    def _view(self, steps) -> tuple[list[int], list[int], list[int]]:
-        """Parent, letter code and a rank above the parent's per coset, kept from the first call, in O(m).
-
-        A tree numbers parents first, so the rank is the coset.  Otherwise it is the depth, and the parent
-        is a rep's last letter stepped back by the table's ``steps``, once ``compute_basis`` checked the reps."""
-        if "_tree_view" not in self.__dict__:
-            if self._tree is not None:
-                edges, ranks = self._tree, list(range(len(self._tree) + 1))
-            else:
-                last = [r.letters[-1] for r in self.reps[1:]]
-                edges = [(steps[Letter(lt.gen, -lt.sign)][c], lt) for c, lt in enumerate(last, 1)]
-                ranks = [len(r) for r in self.reps]
-            parents, codes = [0] + [p for p, _ in edges], [0] + [2 * lt.gen + (lt.sign < 0) for _, lt in edges]
-            object.__setattr__(self, "_tree_view", (parents, codes, ranks))
-        return self._tree_view
+def _spell_reps(transversal: SchreierTransversal) -> tuple[Word, ...]:
+    parents, codes, _ = transversal._tree
+    letters, shared = [()], transversal._alphabet._letters
+    for c in range(1, len(parents)):
+        # Never cancels: undoing the parent's last letter leads to an earlier coset.
+        letters.append(letters[parents[c]] + (shared[codes[c]],))
+    return tuple(words._word(transversal._alphabet, t) for t in letters)
 
 
-def _tree_path(view, a: int, b: int) -> list[int]:
-    """The letter codes of the tree path from coset a to coset b, in O(its length)."""
-    parents, codes, ranks = view
+# Set after the class is made, so ``reps`` stays its one field: a tree spells it out on first read and keeps it.
+SchreierTransversal.reps = cached_property(_spell_reps)
+SchreierTransversal.reps.__set_name__(SchreierTransversal, "reps")
+
+
+def _tree_path(tree, a: int, b: int) -> list[int]:
+    """The letter codes of the path from coset a to coset b in a Schreier vector, in O(its length)."""
+    parents, codes, depths = tree
     up, down = [], []
-    while a != b:  # climb from the higher rank until the two meet
-        if ranks[a] >= ranks[b]:
+    while a != b:  # climb from the deeper coset until the two meet
+        if depths[a] >= depths[b]:
             up.append(codes[a] ^ 1)
             a = parents[a]
         else:
@@ -103,26 +101,27 @@ def _tree_path(view, a: int, b: int) -> list[int]:
 def _texts(table: CosetTable, transversal: SchreierTransversal, pairs=()):
     """The text of every rep, and an iterator over the text of t x rep(tx)^-1 per (coset, generator) pair.
 
-    Reads the tree of a transversal from ``build_table`` and builds no word.  In one
-    pass, parents first, coset c keeps its rep t split at its last run: the text
+    Reads the transversal's Schreier vector and builds no word.  In one
+    pass by depth, so parents first, coset c keeps its rep t split at its last run: the text
     before the run, the run's letter code and length, and the text of t^-1 after its
     first run, which is the last run inverted.  A child bumps its parent's last run
     or starts a new one.  A pair's word cancels no letter (see ``compute_basis``),
-    but x can merge with the runs on both sides of it.  O(m + len(pairs) + characters built).
+    but x can merge with the runs on both sides of it.  O(m + len(pairs) + characters built)
+    on a tree from ``build_table``, whose depths are already sorted.
     """
     names, images = transversal._alphabet.names, [p.images for p in table.graph.gen_perms]
+    parents, codes, depths = transversal._tree
 
     def run(code: int, k: int) -> str:
         return words._run(names[code >> 1], -k if code & 1 else k) if k else ""
 
-    parts = [("", 0, 0, "")]  # coset 0: no run
-    for parent, lt in transversal._tree:
-        head, code, k, tail = parts[parent]
-        new = 2 * lt.gen + (lt.sign < 0)
-        if new == code:
-            parts.append((head, code, k + 1, tail))
+    parts = [("", 0, 0, "")] * len(parents)  # coset 0: no run
+    for c in sorted(range(1, len(parents)), key=depths.__getitem__):
+        head, code, k, tail = parts[parents[c]]
+        if codes[c] == code:
+            parts[c] = (head, code, k + 1, tail)
         else:
-            parts.append((_join(head, run(code, k)), new, 1, _join(run(code ^ 1, k), tail)))
+            parts[c] = (_join(head, run(code, k)), codes[c], 1, _join(run(code ^ 1, k), tail))
 
     def basis_words():
         for c, g in pairs:
@@ -149,11 +148,11 @@ def build_table(act: FiniteAction, basepoint: int) -> tuple[CosetTable, Schreier
     """
     if not 0 <= basepoint < act.degree:
         raise ValueError(f"basepoint {basepoint} out of range for degree {act.degree}")
-    points, index, edges = _bfs(act, basepoint)
+    points, index, tree = _bfs(act, basepoint)
     graph = FiniteAction(act.alphabet, len(points), tuple(
         _perm(tuple(map(index.__getitem__, map(perm.images.__getitem__, points)))) for perm in act.gen_perms))
     transversal = object.__new__(SchreierTransversal)
-    transversal.__dict__.update(_alphabet=act.alphabet, _tree=tuple(edges))
+    transversal.__dict__.update(_alphabet=act.alphabet, _tree=tree)
     return CosetTable(act, basepoint, tuple(points), graph), transversal
 
 

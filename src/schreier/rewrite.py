@@ -106,7 +106,7 @@ def expand(basis: SchreierBasis, bw: BWord | Iterable[tuple[int, int]]) -> Word:
     factors = bw.factors if isinstance(bw, BWord) else bw
     elements, alphabet, letters = basis.elements, basis.alphabet, basis.alphabet._letters
     _, tr, steps = basis.__dict__.get("_source", (None, None, None))
-    view = tr._view(steps) if tr is not None else None
+    tree = tr._tree if tr is not None else None  # None on a hand-built basis
     stack: list[int] = []
     c = 0
     for k, s in factors:
@@ -115,21 +115,21 @@ def expand(basis: SchreierBasis, bw: BWord | Iterable[tuple[int, int]]) -> Word:
         if s not in (1, -1):
             raise ValueError(f"factor sign must be +1 or -1, got {s}")
         e = elements[k]
-        if view is None:  # a hand-built basis: push the factor's word, read backwards and inverted for s = -1
+        if tr is None:  # a hand-built basis: push the factor's word, read backwards and inverted for s = -1
             _push(stack, [alphabet._codes[lt] ^ (s < 0) for lt in e.word.letters[::int(s)]])
             continue
-        a, code = e.coset, 2 * e.gen  # the edge from coset a; read once, as __getattr__ slows e's reads
+        a, code = e.coset, 2 * e.gen  # the edge from coset a
         b = steps[letters[code]][a]
         if s == -1:
             a, b, code = b, a, code + 1
         if c != a:
-            _push(stack, _tree_path(view, c, a))
+            _push(stack, _tree_path(tree, c, a))
         if stack and stack[-1] == code ^ 1:
             stack.pop()
         else:
             stack.append(code)
         c = b
-    _push(stack, _tree_path(view, c, 0) if view else [])
+    _push(stack, _tree_path(tree, c, 0) if tr is not None else [])
     return words._word(alphabet, tuple(map(letters.__getitem__, stack)))
 
 

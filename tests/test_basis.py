@@ -140,12 +140,33 @@ def test_compute_basis_and_induce_reject_a_nonempty_first_rep():
         s.induce(sigma, table, bad, basis)
 
 
+def test_compute_basis_rejects_the_empty_rep_twice():
+    # x fixes both cosets, so the second empty rep is the first plus x in the table: only its depth gives it away.
+    act = make_action(("x", "y"), [[0, 1], [1, 0]])
+    table, _ = s.build_table(act, 0)
+    one = s.identity(act.alphabet)
+    with pytest.raises(s.InvariantError, match="not a Schreier transversal"):
+        s.compute_basis(table, s.SchreierTransversal((one, one)))
+
+
 def test_compute_basis_rejects_reps_over_another_alphabet():
     table, tr = s.build_table(CYCLE3, 0)
     other = s.Alphabet(("a", "b"))
     foreign = s.SchreierTransversal(tuple(s.Word(other, r.letters) for r in tr.reps))
     with pytest.raises(ValueError, match="alphabet mismatch"):
         s.compute_basis(table, foreign)
+
+
+def test_compute_basis_and_induce_reject_a_first_rep_over_another_alphabet():
+    # The other reps are the tree's own, so only the empty first rep gives this transversal away.
+    table, tr = s.build_table(CYCLE3, 0)
+    basis = s.compute_basis(table, tr)
+    foreign = s.SchreierTransversal((s.identity(s.Alphabet(("a", "b"))),) + tr.reps[1:])
+    sigma = s.HAction(1, (s.Permutation((0,)),) * len(basis.elements))
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        s.compute_basis(table, foreign)
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        s.induce(sigma, table, foreign, basis)
 
 
 def test_degenerate_pair_of_rep_rejects_identity_rep():
@@ -159,6 +180,12 @@ def test_degenerate_pair_of_rep_rejects_identity_rep():
                 s.degenerate_pair_of_rep(table, transversal, c)
 
 
+def test_degenerate_pair_of_rep_rejects_a_transversal_of_another_size():
+    table, tr = s.build_table(CYCLE3, 0)
+    with pytest.raises(s.InvariantError, match="not a Schreier transversal"):
+        s.degenerate_pair_of_rep(table, s.SchreierTransversal(tr.reps[:2]), 2)
+
+
 def test_basis_element_fields_leave_out_its_source():
     table, tr = s.build_table(CYCLE3, 0)
     basis = s.compute_basis(table, tr)
@@ -170,6 +197,19 @@ def test_basis_element_fields_leave_out_its_source():
     assert "reps" not in tr.__dict__
     assert e == s.BasisElement(e.coset, e.gen, e.word)
     assert repr(e) == "BasisElement(coset=1, gen=1, word=Word('x y x^-1'))"
+
+
+def test_reading_the_pair_of_a_basis_element_builds_no_word(monkeypatch):
+    # Lazy fields are descriptors on the classes, not a __getattr__ hook that slows every read.
+    assert "__getattr__" not in vars(s.BasisElement) and "__getattr__" not in vars(s.SchreierTransversal)
+    table, tr = s.build_table(CYCLE3, 0)
+    basis = s.compute_basis(table, tr)
+    assert not hasattr(basis.elements[0], "__dict__")
+    built = count_built_words(monkeypatch)
+    assert [(e.coset, e.gen) for e in basis.elements] == [(0, 1), (1, 0), (1, 1), (2, 1)]
+    assert built == []
+    assert basis_words(basis) == ["y", "x^3", "x y x^-1", "x^-1 y x"] and built == [1, 3, 3, 3]
+    assert basis_words(basis) == ["y", "x^3", "x y x^-1", "x^-1 y x"] and len(built) == 4
 
 
 def test_equal_bases_hash_equal():

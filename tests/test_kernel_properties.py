@@ -8,10 +8,11 @@ import random
 import tempfile
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import schreier as s
 import schreier.cli as cli
+import schreier.cosets as cosets
 from helpers import (
     brute_factor_reduce,
     brute_reduce,
@@ -214,28 +215,42 @@ def test_coset_kernels_agree_with_ev_pairs(case):
 
 @st.composite
 def action_with_transversals(draw):
-    """Any action, also of degree 1 or with no generators, with two transversals.
+    """Any action, also of degree 1 or with no generators, a basepoint, which transversal to build, and letters.
 
-    The second is a BFS tree from the basepoint in a shuffled letter
-    order, so it is a Schreier transversal but rarely the shortlex one.
+    The transversal is either the shortlex tree of ``build_table`` (None)
+    or one built from words, (order, pop): the reps of a search tree from
+    the basepoint in a shuffled letter order, breadth-first for pop 0 and
+    last in, first out for pop -1.  Either is a Schreier transversal but
+    rarely the shortlex one, and in the second a parent can have a higher
+    coset number than its child.  ``_build`` builds it; a drawn case holds
+    none, so Hypothesis's report of a case never spells out a tree's reps.
     """
     n, m = draw(st.integers(0, 3)), draw(st.integers(1, 7))
     perms = [list(draw(st.permutations(range(m)))) for _ in range(n)]
     act = s.FiniteAction(s.Alphabet(("x", "y", "z")[:n]), m, tuple(s.Permutation(tuple(p)) for p in perms))
     base = draw(st.integers(0, m - 1))
-    table, shortlex = s.build_table(act, base)
-    order = draw(st.permutations([(g, sign) for g in range(n) for sign in (1, -1)]))
-    path = {base: ()}
-    queue = [base]
-    for p in queue:
-        for g, sign in order:
-            q = ev_pairs(perms, p, ((g, sign),))
-            if q not in path:
-                path[q] = path[p] + ((g, sign),)
-                queue.append(q)
-    shuffled = s.SchreierTransversal(tuple(word_from_pairs(act.alphabet, path[q]) for q in table.points))
+    order = tuple(draw(st.permutations([(g, sign) for g in range(n) for sign in (1, -1)])))
     raw = draw(_raw(n, max_size=12)) if n else []
-    return perms, table, draw(st.sampled_from((shortlex, shuffled))), raw
+    return perms, act, base, draw(st.sampled_from((None, (order, 0), (order, -1)))), raw
+
+
+def _build(case):
+    """The perms, the coset table, the transversal and the letters of a drawn case."""
+    perms, act, base, search, raw = case
+    table, tr = s.build_table(act, base)
+    if search is not None:
+        order, pop = search
+        path = {base: ()}
+        pending = [base]
+        while pending:
+            p = pending.pop(pop)
+            for g, sign in order:
+                q = ev_pairs(perms, p, ((g, sign),))
+                if q not in path:
+                    path[q] = path[p] + ((g, sign),)
+                    pending.append(q)
+        tr = s.SchreierTransversal(tuple(word_from_pairs(act.alphabet, path[q]) for q in table.points))
+    return perms, table, tr, raw
 
 
 @given(alphabet_and_raws(3))
@@ -252,7 +267,7 @@ def test_group_laws_agree_with_brute_reduce(case):
 
 @given(action_with_transversals(), st.data())
 def test_rewrite_is_a_homomorphism_against_brute_factor_reduce(case, data):
-    perms, table, tr, raw = case
+    perms, table, tr, raw = _build(case)
     basis = s.compute_basis(table, tr)
     alphabet = table.action.alphabet
 
@@ -302,8 +317,8 @@ def _check_listings(act, base):
 
 @given(action_with_transversals())
 def test_listings_agree_with_format_word(case):
-    _, table, _, _ = case
-    _check_listings(table.action, table.basepoint)
+    _, act, base, _, _ = case
+    _check_listings(act, base)
 
 
 @pytest.mark.parametrize("names,images,base", [
@@ -336,7 +351,7 @@ def _basis_oracle(perms, table, tr):
 
 @given(action_with_transversals())
 def test_compute_basis_agrees_with_brute_reduce(case):
-    perms, table, tr, raw = case
+    perms, table, tr, raw = _build(case)
     basis = s.compute_basis(table, tr)
     elements, index = _basis_oracle(perms, table, tr)
     assert [(e.coset, e.gen, pairs_of_word(e.word)) for e in basis.elements] == elements
@@ -361,7 +376,7 @@ def _tampered_transversals(tr):
 
 @given(action_with_transversals())
 def test_compute_basis_and_induce_reject_a_tampered_transversal(case):
-    _, table, tr, _ = case
+    _, table, tr, _ = _build(case)
     basis = s.compute_basis(table, tr)
     sigma = s.HAction(1, (s.Permutation((0,)),) * len(basis.elements))
     for reps in _tampered_transversals(tr):
@@ -374,7 +389,7 @@ def test_compute_basis_and_induce_reject_a_tampered_transversal(case):
 
 @given(action_with_transversals(), st.data())
 def test_induce_restricts_to_sigma_and_agrees_with_the_transfer_formula(case, data):
-    _, table, tr, raw = case
+    _, table, tr, raw = _build(case)
     basis = s.compute_basis(table, tr)
     d = data.draw(st.integers(1, 3))
     sigma = s.HAction(d, tuple(s.Permutation(tuple(data.draw(st.permutations(range(d)))))
@@ -399,7 +414,7 @@ def _is_bijection(perm: s.Permutation) -> bool:
 def test_unchecked_permutations_are_bijections(case, data):
     # These permutations skip the constructor's sort: each composes or
     # relabels permutations that were checked.
-    perms, table, tr, raw = case
+    perms, table, tr, raw = _build(case)
     act = table.action
     p = s.perm_of_word(act, s.reduce(act.alphabet, raw))
     q = s.perm_of_word(act, s.reduce(act.alphabet, data.draw(_raw(len(perms), max_size=8)) if perms else ()))
@@ -414,7 +429,7 @@ def test_unchecked_permutations_are_bijections(case, data):
 
 @given(action_with_transversals(), st.data())
 def test_tree_backed_and_word_built_transversals_agree(case, data):
-    perms, table, drawn, _ = case
+    perms, table, drawn, _ = _build(case)
     table, tree = s.build_table(table.action, table.basepoint)
     alphabet, n = table.action.alphabet, len(perms)
     d = data.draw(st.integers(1, 3))
@@ -443,15 +458,12 @@ def test_tree_backed_and_word_built_transversals_agree(case, data):
 
 @given(action_with_transversals(), st.data())
 def test_expand_and_rewrite_walk_the_schreier_graph(case, data):
-    perms, table, tr, _ = case
-    if tr._tree is not None:
-        # A fresh tree: Hypothesis prints a drawn dataclass from its fields, so its report reads ``reps``.
-        table, tr = s.build_table(table.action, table.basepoint)
+    perms, table, tr, _ = _build(case)
     basis = s.compute_basis(table, tr)
     factors = _factors(data.draw, len(basis.elements))
     # Expand before any basis word is read: the walk must not need them.
     got = s.expand(basis, factors)
-    assert tr._tree is None or "reps" not in tr.__dict__
+    assert case[3] is not None or "reps" not in tr.__dict__  # case[3] is None for a tree, which spells out no rep
     basis_words = [pairs_of_word(e.word) for e in basis.elements]
     assert pairs_of_word(got) == expand_pairs(basis_words, factors)
     assert _revalidates(got)
@@ -463,3 +475,27 @@ def test_expand_and_rewrite_walk_the_schreier_graph(case, data):
     reps = [pairs_of_word(r) for r in tr.reps]
     assert bw.factors == rewrite_by_words(perms, table.basepoint, reps, basis_words, pairs_of_word(got))
     assert s.rewrite(table, tr, by_hand, got) == bw
+
+
+# A 5-cycle x, searched last in, first out: the rep x^-2 of point 3 (coset 4) is the parent of the rep x^-3
+# of point 2 (coset 3).  y fixes every point, so a factor on (c, y) starts and ends at c.
+CYCLE5_LIFO = ([[1, 2, 3, 4, 0], [0, 1, 2, 3, 4]], make_action(("x", "y"), [[1, 2, 3, 4, 0], [0, 1, 2, 3, 4]]), 0,
+               (((0, 1), (0, -1), (1, 1), (1, -1)), -1), [])
+
+
+@given(action_with_transversals())
+@example(CYCLE5_LIFO)
+def test_schreier_vector_of_words_agrees_with_the_tree_the_texts_and_expand(case):
+    _, table, tr, _ = _build(case)
+    _, tree = s.build_table(table.action, table.basepoint)
+    assert s.SchreierTransversal(tree.reps)._tree == tree._tree
+    # On the drawn reps given as words, also those of a search tree whose parents can come after their children.
+    words = s.SchreierTransversal(tuple(tr.reps))
+    assert words._tree[0] == [s.coset_of(table, s.Word(r.alphabet, r.letters[:-1])) for r in tr.reps]
+    basis = s.compute_basis(table, words)
+    factors = [(k, 1) for k in range(len(basis.elements))] * 2  # tree paths between the factors' cosets
+    got = s.expand(basis, factors)
+    reps, basis_texts = cosets._texts(table, words, [(e.coset, e.gen) for e in basis.elements])
+    assert reps == [s.format_word(r) for r in tr.reps]
+    assert list(basis_texts) == [s.format_word(e.word) for e in basis.elements]
+    assert pairs_of_word(got) == expand_pairs([pairs_of_word(e.word) for e in basis.elements], factors)
