@@ -79,6 +79,8 @@ def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: in
     for name, value in (("trials", trials), ("max_len", max_len)):
         if value < 0:
             raise ValueError(f"{name} must be non-negative, got {value}")
+    if max_len > words.MAX_WORD_LENGTH:  # read now, as parse does, so the cap can be lowered
+        raise ValueError(f"max_len must be at most {words.MAX_WORD_LENGTH}, got {max_len}")
     rng = random.Random(seed)
     alphabet = act.alphabet
     n = len(alphabet)

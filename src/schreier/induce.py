@@ -84,13 +84,15 @@ def induce(sigma: HAction, table: CosetTable, transversal: SchreierTransversal, 
     return InducedAction(FiniteAction(table.action.alphabet, d * m, tuple(gen_perms)), d, m)
 
 
+def _fiber_images(ind: InducedAction, w: Word) -> list[tuple[int, int]]:
+    """Where w sends each point (a, coset 0), as (a, coset) pairs."""
+    return [ind.decode(evaluate(ind.base, ind.encode(a, 0), w)) for a in range(ind.h_degree)]
+
+
 def check_claim(ind: InducedAction, transversal: SchreierTransversal) -> bool:
     """Whether every representative t sends (a, coset 0) to (a, coset of t)."""
-    for c, t in enumerate(transversal.reps):
-        for a in range(ind.h_degree):
-            if evaluate(ind.base, ind.encode(a, 0), t) != ind.encode(a, c):
-                return False
-    return True
+    points = range(ind.h_degree)
+    return all(_fiber_images(ind, t) == [(a, c) for a in points] for c, t in enumerate(transversal.reps))
 
 
 def restrict_to_h(ind: InducedAction, basis: SchreierBasis) -> tuple[Permutation, ...]:
@@ -101,13 +103,10 @@ def restrict_to_h(ind: InducedAction, basis: SchreierBasis) -> tuple[Permutation
     """
     perms = []
     for element in basis.elements:
-        images = []
-        for a in range(ind.h_degree):
-            a2, c2 = ind.decode(evaluate(ind.base, ind.encode(a, 0), element.word))
-            if c2 != 0:
-                raise InvariantError("basis word moved the coset coordinate")
-            images.append(a2)
-        perms.append(Permutation(tuple(images)))
+        images, cosets = zip(*_fiber_images(ind, element.word))
+        if any(cosets):
+            raise InvariantError("basis word moved the coset coordinate")
+        perms.append(Permutation(images))
     return tuple(perms)
 
 
@@ -143,9 +142,7 @@ def haction_from_action(file_act: FiniteAction, basis: SchreierBasis) -> HAction
     """Interpret an action file whose generators are b0..b{k-1} as an H-action."""
     expected = [f"b{k}" for k in range(len(basis.elements))]
     if sorted(file_act.alphabet.names) != sorted(expected):
-        raise ActionParseError(
-            f"H-action generators must be exactly b0..b{len(expected) - 1}, "
-            f"got {list(file_act.alphabet.names)}"
-        )
+        want = f"generators must be exactly b0..b{len(expected) - 1}" if expected else "must have no generators"
+        raise ActionParseError(f"H-action {want}, got {list(file_act.alphabet.names)}")
     perms = tuple(file_act.gen_perms[file_act.alphabet.index(name)] for name in expected)
     return HAction(file_act.degree, perms)

@@ -98,6 +98,13 @@ def test_evaluate_rejects_bad_input():
         s.evaluate(CYCLE3, -1, s.parse("x", CYCLE3.alphabet))
 
 
+def test_perm_of_word_and_orbit_reject_bad_input():
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        s.perm_of_word(CYCLE3, s.parse("x", s.Alphabet(("x",))))
+    with pytest.raises(ValueError, match="point 3 out of range for degree 3"):
+        s.orbit(CYCLE3, 3)
+
+
 def test_equal_alphabet_objects_are_interchangeable():
     # An equal Alphabet that is a distinct object passes the guards.
     twin = s.Alphabet(CYCLE3.alphabet.names)

@@ -60,6 +60,23 @@ def test_all_pass_on_trivial_action():
     assert "|B| = 2" in by_name["basis-count"].detail
 
 
+def test_all_pass_on_an_action_with_no_generators():
+    # One coset and an empty basis; every random word is the identity.
+    results = s.run_checks(s.FiniteAction(s.Alphabet(()), 3, ()), trials=20)
+    assert [r.name for r in results] == EXPECTED_NAMES
+    assert all(r.passed for r in results), [r for r in results if not r.passed]
+
+
+def test_minimality_is_sampled_past_the_enumeration_cap():
+    # Reps of the degree-22 dihedral action reach 11 letters: 354,293 reduced words, over the cap.
+    m = 22
+    act = make_action(("x", "y"), [[(i + 1) % m for i in range(m)], [(-i) % m for i in range(m)]])
+    results = s.run_checks(act, trials=20)
+    assert all(r.passed for r in results), [r for r in results if not r.passed]
+    by_name = {r.name: r for r in results}
+    assert by_name["transversal-shortlex-minimal"].detail == "sampled (instance too large for an exhaustive scan)"
+
+
 def test_all_pass_on_random_actions():
     rng = random.Random(113)
     for _ in range(5):

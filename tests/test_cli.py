@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -16,13 +18,58 @@ HACT = str(FIXTURES / "hact_swap.txt")
 
 
 def golden(name):
-    return (FIXTURES / "golden" / name).read_text()
+    return (FIXTURES / "golden" / name).read_bytes().decode()
 
 
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# One row per golden file: its name, the exit code (a non-member exits 1) and the arguments.
+GOLDEN_CASES = [
+    ("check.txt", 0, ["check", ACT]),
+    ("transversal.txt", 0, ["transversal", ACT]),
+    ("basis.txt", 0, ["basis", ACT]),
+    ("transversal_structured.txt", 0, ["transversal", ACT, "--format", "structured"]),
+    ("basis_structured.txt", 0, ["basis", ACT, "--format", "structured"]),
+    ("rewrite_xyx2.txt", 0, ["rewrite", ACT, "x y x^2"]),
+    ("induce.txt", 0, ["induce", ACT, HACT]),
+    ("member_identity.txt", 0, ["member", ACT, "1"]),
+    ("member_x.txt", 1, ["member", ACT, "x"]),
+]
+
+
+@pytest.mark.parametrize("name,code,argv", GOLDEN_CASES, ids=[case[0] for case in GOLDEN_CASES])
+def test_golden_file(capsys, name, code, argv):
+    assert run(capsys, argv)[:2] == (code, golden(name))
+
+
+# Prints one JSON line [exit code, stdout] per row's arguments; no assert, since -O strips them.
+_GOLDEN_UNDER_O = """
+import contextlib, io, json, sys
+from schreier.cli import main
+
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    print(json.dumps([code, out.getvalue()]))
+"""
+
+
+def test_golden_files_under_python_O():
+    src = str(Path(s.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, SCHREIER_COLOR="0")
+    table = json.dumps([argv for _, _, argv in GOLDEN_CASES])
+    proc = subprocess.run([sys.executable, "-O", "-c", _GOLDEN_UNDER_O, table],
+                          stdin=subprocess.DEVNULL, capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    rows = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(rows) == len(GOLDEN_CASES), proc.stdout
+    for (name, code, _), row in zip(GOLDEN_CASES, rows):
+        assert row == [code, golden(name)], name
 
 
 @pytest.mark.parametrize("args,expected", [
@@ -38,6 +85,8 @@ def test_reduce(capsys, args, expected):
 def test_reduce_requires_generators(capsys):
     code, _, err = run(capsys, ["reduce", "x"])
     assert code == 2 and "-g" in err
+    code, _, err = run(capsys, ["reduce", "-g", ",", "x"])
+    assert code == 2 and "no generator names given" in err
 
 
 def test_reduce_structured(capsys):
@@ -58,26 +107,6 @@ def test_act_single_point(capsys):
 def test_act_point_out_of_range(capsys):
     code, _, err = run(capsys, ["act", ACT, "x", "--point", "9"])
     assert code == 2 and "out of range" in err
-
-
-def test_transversal_golden(capsys):
-    code, out, _ = run(capsys, ["transversal", ACT])
-    assert code == 0 and out == golden("transversal.txt")
-
-
-def test_basis_golden(capsys):
-    code, out, _ = run(capsys, ["basis", ACT])
-    assert code == 0 and out == golden("basis.txt")
-
-
-def test_transversal_structured_golden(capsys):
-    code, out, _ = run(capsys, ["transversal", ACT, "--format", "structured"])
-    assert code == 0 and out == golden("transversal_structured.txt")
-
-
-def test_basis_structured_golden(capsys):
-    code, out, _ = run(capsys, ["basis", ACT, "--format", "structured"])
-    assert code == 0 and out == golden("basis_structured.txt")
 
 
 @pytest.mark.parametrize("command,lines", [("transversal", 40), ("basis", 42)])
@@ -102,15 +131,13 @@ def test_listings_build_no_word(capsys, monkeypatch, tmp_path, command, lines):
 
 
 def test_member_yes(capsys):
-    code, out, _ = run(capsys, ["member", ACT, "1"])
-    assert (code, out) == (0, golden("member_identity.txt"))
     code, out, _ = run(capsys, ["member", ACT, "x y x^2"])
     assert (code, out) == (0, "yes\n")
 
 
 def test_member_no(capsys):
-    code, out, _ = run(capsys, ["member", ACT, "x"])
-    assert (code, out) == (1, golden("member_x.txt"))
+    code, out, _ = run(capsys, ["member", ACT, "x^-1"])
+    assert (code, out) == (1, "no 2\n")
 
 
 def test_member_structured(capsys):
@@ -121,11 +148,6 @@ def test_member_structured(capsys):
     code, out, _ = run(capsys, ["member", ACT, "--format", "structured", "1"])
     assert code == 0 and json.loads(out) == {"member": True}
     assert json.loads(out)["member"] is True
-
-
-def test_rewrite_golden(capsys):
-    code, out, _ = run(capsys, ["rewrite", ACT, "x y x^2"])
-    assert code == 0 and out == golden("rewrite_xyx2.txt")
 
 
 def test_rewrite_identity(capsys):
@@ -147,11 +169,6 @@ def test_rewrite_structured(capsys):
         "tokens": "b2^-1 b1",
         "expanded": "x y^-1 x^2",
     }
-
-
-def test_induce_golden(capsys):
-    code, out, _ = run(capsys, ["induce", ACT, HACT])
-    assert code == 0 and out == golden("induce.txt")
 
 
 def test_induce_output_feeds_other_commands(capsys, tmp_path):
@@ -229,15 +246,17 @@ def test_check_structured(capsys):
     assert all(r["passed"] is True for r in records[:-1])
 
 
-def test_check_golden(capsys):
-    code, out, _ = run(capsys, ["check", ACT])
-    assert code == 0 and out == golden("check.txt")
-
-
 @pytest.mark.parametrize("flag,value", [("--trials", "-3"), ("--len", "-1")])
 def test_check_rejects_negative_counts(capsys, flag, value):
     code, out, err = run(capsys, ["check", ACT, flag, value])
     assert code == 2 and out == "" and "must be non-negative" in err
+
+
+def test_check_caps_the_word_length(capsys, monkeypatch):
+    monkeypatch.setattr("schreier.words.MAX_WORD_LENGTH", 5)
+    code, out, err = run(capsys, ["check", ACT, "--len", "6"])
+    assert code == 2 and out == "" and "max_len must be at most 5, got 6" in err
+    assert run(capsys, ["check", ACT, "--len", "5"])[0] == 0
 
 
 def test_check_seed_determinism(capsys):

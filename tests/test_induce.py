@@ -180,6 +180,13 @@ def test_tensor_generic_agrees_with_induce():
         assert got == ind.decode(s.evaluate(ind.base, start, g))
 
 
+def test_tensor_generic_rejects_a_point_past_the_degree():
+    table, tr, basis = setup_case(CYCLE3)
+    e = s.identity(CYCLE3.alphabet)
+    with pytest.raises(ValueError, match="point 2 out of range for degree 2"):
+        s.tensor_action_generic(identity_sigma(basis, 2), table, tr, basis, 2, e, e)
+
+
 def test_tensor_generic_composes():
     rng = random.Random(107)
     table, tr, basis = setup_case(CYCLE3)
@@ -232,6 +239,15 @@ def test_haction_from_action_file_names():
         "perm b0 1 0\nperm b1 0 1\nperm b2 0 1\nperm c3 0 1\n")
     with pytest.raises(s.ActionParseError, match="must be exactly b0..b3"):
         s.haction_from_action(bad_names, basis)
+
+
+def test_haction_for_an_empty_basis_must_have_no_generators():
+    # No generators: one coset, so |B| = 1 + 1·(0 - 1) = 0.
+    _, _, basis = setup_case(s.FiniteAction(s.Alphabet(()), 1, ()))
+    assert len(basis.elements) == 0
+    with pytest.raises(s.ActionParseError, match=r"H-action must have no generators, got \['b0'\]"):
+        s.haction_from_action(s.parse_action_text("degree 2\ngenerators b0\nperm b0 1 0\n"), basis)
+    assert s.haction_from_action(s.parse_action_text("degree 2\ngenerators\n"), basis).perms == ()
 
 
 _TAMPERED = """

@@ -47,6 +47,12 @@ def test_rewrite_worked_examples():
     assert s.rewrite(table, tr, basis, ab.word("x^-1 y x")).factors == ((3, 1),)
 
 
+def test_rewrite_rejects_a_word_over_another_alphabet():
+    table, tr, basis = setup_case(CYCLE3)
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        s.rewrite(table, tr, basis, s.Alphabet(("x", "z")).word("x"))
+
+
 def test_rewrite_rejects_nonmembers():
     table, tr, basis = setup_case(CYCLE3)
     with pytest.raises(s.NotInSubgroupError) as info:
@@ -79,6 +85,8 @@ def test_bword_validates():
         s.BWord(((0, 1), (0, -1)))
     with pytest.raises(ValueError, match="sign"):
         s.BWord(((0, 2),))
+    with pytest.raises(ValueError, match="negative basis index -1"):
+        s.BWord(((-1, 1),))
 
 
 def test_roundtrip_random_stabilizer_elements():

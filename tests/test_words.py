@@ -143,6 +143,13 @@ def test_shortlex_letter_order():
     assert s.parse("y^-1", XY) < s.parse("x x", XY)  # length dominates
 
 
+def test_shortlex_order_needs_words_over_one_alphabet():
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        s.parse("x", XY) < s.parse("x", s.Alphabet(("x", "z")))
+    with pytest.raises(TypeError):
+        s.parse("x", XY) < "x"
+
+
 def test_shortlex_matches_oracle_key():
     rng = random.Random(17)
     for _ in range(200):
