@@ -19,8 +19,13 @@ from .words import Letter, Word
 
 __all__ = ["CheckResult", "run_checks"]
 
-# Exhaustive scans are skipped above this many reduced words.
+# Exhaustive scans are skipped above this many reduced words or this many
+# letters in them.  The letter cap binds only with one generator, whose
+# 2L + 1 words up to length L hold L(L + 1) letters; with more generators
+# the word cap binds first (the largest scan it allows, two generators up
+# to length 10, holds 1,121,932 letters).
 _ENUMERATION_CAP = 300_000
+_LETTER_CAP = 1_200_000
 
 
 @dataclass
@@ -53,14 +58,16 @@ def _random_raw(rng: random.Random, alphabet, max_len: int) -> list[tuple[int, i
     return [(rng.randrange(n), rng.choice((1, -1))) for _ in range(rng.randint(0, max_len))]
 
 
-def _reduced_word_count(n: int, max_len: int) -> int:
-    total, layer = 1, 1
-    for depth in range(max_len):
-        layer *= 2 * n if depth == 0 else 2 * n - 1
+def _enumerable(n: int, max_len: int) -> bool:
+    """Whether the reduced words up to max_len letters fit under both caps."""
+    total, letters, layer = 1, 0, 1
+    for depth in range(1, max_len + 1):
+        layer *= 2 * n if depth == 1 else 2 * n - 1
         total += layer
-        if total > _ENUMERATION_CAP:
-            break
-    return total
+        letters += depth * layer
+        if total > _ENUMERATION_CAP or letters > _LETTER_CAP:
+            return False
+    return True
 
 
 def _bconcat(left: tuple[tuple[int, int], ...], right: tuple[tuple[int, int], ...]):
@@ -215,7 +222,7 @@ def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: in
 
     def transversal_shortlex_minimal():
         longest = max(len(r) for r in transversal.reps)
-        if _reduced_word_count(n, longest) <= _ENUMERATION_CAP:
+        if _enumerable(n, longest):
             first: dict[int, Word] = {}
             for w in words.iter_reduced_words(alphabet, longest):
                 c = coset_of(table, w)
@@ -309,7 +316,7 @@ def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: in
     check("rewrite-basis-fidelity", rewrite_basis_fidelity)
 
     def rewrite_empty_iff_identity():
-        bound = max_len if _reduced_word_count(n, max_len) <= _ENUMERATION_CAP else 3
+        bound = max_len if _enumerable(n, max_len) else 3
         count = 0
         for w in words.iter_reduced_words(alphabet, bound):
             if not contains(table, w):

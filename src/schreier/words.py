@@ -3,7 +3,11 @@
 Free-group elements are kept in their unique reduced form: no adjacent
 pair of a generator and its inverse.  The empty word is the group
 identity and prints as ``1``.  All values here are immutable and safe to
-share between threads.
+share between threads.  The one exception is a bounded cache: each
+``Alphabet`` remembers short factor tokens ``parse`` has read, at most
+``_TOKEN_MEMO_SIZE`` of them.  It is still thread-safe: a token always
+maps to the same factor, each dict read or write is atomic, and threads
+that race past the size check can overfill it only by one token each.
 """
 
 import re
@@ -35,6 +39,10 @@ _NAME_RE = re.compile(_NAME + r"\Z")
 # One factor of ``parse`` and the separator after it: a name, an optional
 # ``^exponent``, then whitespace, at most one ``*`` and whitespace.
 _FACTOR_RE = re.compile(rf"({_NAME})(?:\^([+-]?[0-9]+))?(\s*\*?\s*)")
+# Most tokens ``parse`` memoises per alphabet, and the longest token it
+# memoises, so hostile input cannot grow the memo past about a megabyte.
+_TOKEN_MEMO_SIZE = 4096
+_TOKEN_MEMO_WIDTH = 64
 
 
 class WordParseError(ValueError):
@@ -77,6 +85,11 @@ class Alphabet:
     @cached_property
     def _positions(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.names)}
+
+    @cached_property
+    def _tokens(self) -> dict[str, tuple[int, int]]:
+        """``parse``'s memo: factor token -> (generator, exponent), at most ``_TOKEN_MEMO_SIZE``."""
+        return {}
 
     def index(self, name: str) -> int:
         try:
@@ -216,12 +229,58 @@ def parse(text: str, alphabet: Alphabet) -> Word:
     Factors are separated by whitespace, an optional ``*``, or both.
     Exponents are nonzero integers.  The result is reduced.
     """
+    # No token ([]) or one the memo cannot take (None): the scanner reads the text.
+    return _fold(alphabet, _token_factors(text, alphabet) or _scan_factors(text, alphabet))
+
+
+def _token_factors(text: str, alphabet: Alphabet) -> list[tuple[int, int]] | None:
+    """The factors of a text of whitespace-separated factor tokens, else None.
+
+    Each token is looked up in the alphabet's memo, and learnt there if it
+    is at most ``_TOKEN_MEMO_WIDTH`` characters long, while the memo holds
+    fewer than ``_TOKEN_MEMO_SIZE`` tokens.  A token that is not one
+    whole factor (``*``, ``1``, an unknown name, ``x^0``, ...) returns None:
+    the scanner then parses the text or reports its first fault.
+    """
+    memo = alphabet._tokens
+    factors = []
+    for token in text.split():
+        factor = memo.get(token)
+        if factor is None:
+            factor = _token_factor(token, alphabet)
+            if factor is None:
+                return None
+            if len(memo) < _TOKEN_MEMO_SIZE and len(token) <= _TOKEN_MEMO_WIDTH:
+                memo[token] = factor
+        factors.append(factor)
+    return factors
+
+
+def _token_factor(token: str, alphabet: Alphabet) -> tuple[int, int] | None:
+    """(generator, exponent) if the token is one factor the scanner accepts."""
+    m = _FACTOR_RE.fullmatch(token)
+    if m is None or m[3]:  # a separator in a token can only be a '*'
+        return None
+    name, digits, _ = m.groups()
+    gen = alphabet._positions.get(name)
+    if gen is None:
+        return None
+    if digits is None:
+        return gen, 1
+    try:
+        k = int(digits)
+    except ValueError:  # more digits than int() converts
+        return None
+    return (gen, k) if k else None
+
+
+def _scan_factors(text: str, alphabet: Alphabet) -> Iterator[tuple[int, int]]:
+    """Yield (generator, exponent) per factor, one ``_FACTOR_RE`` match each.
+
+    Raises the ``WordParseError`` of the first fault, with its position.
+    """
     if text.strip() == "1":
-        return identity(alphabet)
-    # Runs [gen, exponent]: a factor on the same generator as the last
-    # run folds into it, and a run that folds to 0 is dropped, so the
-    # runs stay freely reduced and no cancelled letter is ever built.
-    runs: list[list[int]] = []
+        return
     end = len(text)
     pos = end - len(text.lstrip())
     if pos == end:
@@ -240,25 +299,41 @@ def parse(text: str, alphabet: Alphabet) -> Word:
                 raise WordParseError(f"exponent too large at position {m.start(2)}") from None
             if k == 0:
                 raise WordParseError("malformed exponent: must be nonzero")
-        if runs and runs[-1][0] == gen:
-            runs[-1][1] += k
-            if runs[-1][1] == 0:
-                runs.pop()
-        else:
-            runs.append([gen, k])
+        yield gen, k
         pos = m.end()
         if pos == end:
             if "*" in sep:
                 raise WordParseError("empty factor after '*'")
-            break
+            return
         if not sep:
             if digits is None and text[pos] == "^":
                 raise WordParseError(f"malformed exponent at position {pos + 1}")
             raise WordParseError(f"missing separator at position {pos}")
-    if sum(abs(k) for _, k in runs) > MAX_WORD_LENGTH:
+
+
+def _fold(alphabet: Alphabet, factors: Iterable[tuple[int, int]]) -> Word:
+    """The reduced word of (generator, exponent) factors, checked against ``MAX_WORD_LENGTH``."""
+    # Runs of one generator, gens[i]^exps[i]: a factor on the same
+    # generator as the last run folds into it, and a run that folds to 0 is
+    # dropped, so the runs stay freely reduced and no cancelled letter is
+    # ever built.
+    gens: list[int] = []
+    exps: list[int] = []
+    for gen, k in factors:
+        if gens and gens[-1] == gen:
+            k += exps[-1]
+            if k:
+                exps[-1] = k
+            else:
+                gens.pop()
+                exps.pop()
+        else:
+            gens.append(gen)
+            exps.append(k)
+    if sum(map(abs, exps)) > MAX_WORD_LENGTH:
         raise WordParseError(f"word longer than the limit of {MAX_WORD_LENGTH} letters")
     letters: list[Letter] = []
-    for gen, k in runs:
+    for gen, k in zip(gens, exps):
         letters.extend([alphabet._letters[2 * gen + (k < 0)]] * abs(k))
     return _word(alphabet, tuple(letters))
 

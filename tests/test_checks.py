@@ -77,6 +77,32 @@ def test_minimality_is_sampled_past_the_enumeration_cap():
     assert by_name["transversal-shortlex-minimal"].detail == "sampled (instance too large for an exhaustive scan)"
 
 
+def _one_generator_cycle(m):
+    return make_action(("x",), [[(i + 1) % m for i in range(m)]])
+
+
+def test_one_generator_scans_are_capped_by_letters():
+    # One generator has only 2L + 1 reduced words up to length L, under the
+    # word cap up to L = 149,999, but they hold L(L + 1) letters.
+    by_name = {r.name: r for r in s.run_checks(_one_generator_cycle(3), max_len=149_999, trials=0)}
+    assert by_name["rewrite-empty-iff-identity"].detail == "3 stabilizer elements up to length 3"
+    # Reps of the degree-4,000 cycle reach 2,000 letters: 4,002,000 letters in the scan.
+    by_name = {r.name: r for r in s.run_checks(_one_generator_cycle(4000), trials=0)}
+    assert by_name["transversal-shortlex-minimal"].detail == "sampled (instance too large for an exhaustive scan)"
+    assert all(r.passed for r in by_name.values())
+
+
+def test_the_letter_cap_changes_no_scan_with_two_or_more_generators():
+    def words_up_to(n, length):
+        return 1 + sum(2 * n * (2 * n - 1) ** (k - 1) for k in range(1, length + 1))
+
+    for n in [*range(2, 60), 149_999, 150_000]:
+        for length in range(13):
+            assert schreier.checks._enumerable(n, length) == (words_up_to(n, length) <= 300_000), (n, length)
+    # With one generator, L(L + 1) letters up to length L: 1,197,930 at 1,094.
+    assert schreier.checks._enumerable(1, 1094) and not schreier.checks._enumerable(1, 1095)
+
+
 def test_all_pass_on_random_actions():
     rng = random.Random(113)
     for _ in range(5):

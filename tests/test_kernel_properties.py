@@ -109,6 +109,54 @@ def test_parse_agrees_with_brute_reduce(case):
     assert _revalidates(w)
 
 
+# Valid exponents and separators, including ones that re's \s and
+# str.split() must both see (U+2003 EM SPACE, U+001C FILE SEPARATOR).
+_EXPONENTS = ("", "^1", "^+1", "^01", "^-1", "^2", "^-3", "^600000")
+_SPACES = (" ", "\t", "\n", "\u2003", "\u001c", "*", " * ", "\t*\n")
+# Faults by kind of piece; int() refuses a 5,000-digit exponent.
+_FAULTS = {
+    "name": ("z", "ab", "a1", "_", "1", "2a"),
+    "exponent": ("^0", "^-0", "^", "^+", "^^2", "^" + "9" * 5000),
+    "gap": ("", "**", "%", "1"),
+    "pad": ("*", "1"),
+}
+
+
+@st.composite
+def word_text(draw):
+    """An alphabet and a text of up to 8 factors, with up to two pieces faulty."""
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    valid = {"name": alphabet.names, "exponent": _EXPONENTS, "gap": _SPACES, "pad": _PADDING}
+    kinds = ["pad", *(["gap", "name", "exponent"] * draw(st.integers(0, 8)))[1:], "pad"]
+    pieces = [draw(st.sampled_from(valid[kind])) for kind in kinds]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(kinds) - 1))
+        pieces[i] = draw(st.sampled_from(_FAULTS[kinds[i]]))
+    return alphabet, "".join(pieces)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(word_text())
+@example((ALPHABETS[0], "a\u2003a*"))
+@example((ALPHABETS[1], "b\u001ca^" + "9" * 5000))
+@example((ALPHABETS[1], "a^+1 b^0"))
+@example((ALPHABETS[0], "\t1\n"))
+def test_parse_agrees_with_the_factor_scanner(case):
+    # The token memo decides nothing: cold, warm or bypassed, parse gives
+    # the same word or the same error.
+    alphabet, text = case
+    scanned = _outcome(lambda: s.words._fold(alphabet, s.words._scan_factors(text, alphabet)))
+    assert _outcome(lambda: s.parse(text, s.Alphabet(alphabet.names))) == scanned
+    for _ in range(2):  # the shared alphabet has seen other texts, then this one
+        assert _outcome(lambda: s.parse(text, alphabet)) == scanned
+
+
 def _basis_case(seed: int):
     rng = random.Random(seed)
     n, m = rng.randint(1, 3), rng.randint(1, 6)

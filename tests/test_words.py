@@ -1,5 +1,7 @@
 import random
+import re
 import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -214,6 +216,7 @@ def test_parse_folds_exponents_before_building_letters():
 
 
 def test_parse_caps_the_folded_word_length(monkeypatch):
+    assert str(s.parse("x^6", XY)) == "x^6"  # the token is memoised, and still checked below
     monkeypatch.setattr(s.words, "MAX_WORD_LENGTH", 5)
     assert str(s.parse("x^5", XY)) == "x^5"
     assert str(s.parse("x^9 x^-4 y^-1 y", XY)) == "x^5"  # the cap applies after folding
@@ -229,3 +232,51 @@ def test_parse_rejects_an_exponent_int_cannot_convert():
     assert type(info.value) is s.WordParseError
     if hasattr(sys, "get_int_max_str_digits"):
         assert "exponent too large at position 4" in str(info.value)
+
+
+def test_parse_memo_is_bounded():
+    ab = s.Alphabet(("x", "y"))
+    # 9,998 distinct tokens, every text folding to x.
+    for k in range(2, 5001):
+        assert str(ab.word(f"x^{k} x^-{k - 1}")) == "x"
+    assert len(ab._tokens) == s.words._TOKEN_MEMO_SIZE == 4096
+    assert "x^-4999" not in ab._tokens
+    assert str(ab.word("x^-4999 y x^5000")) == "x^-4999 y x^5000"
+    assert ab == XY and hash(ab) == hash(XY)
+    # A token longer than 64 characters is never stored, even with room to spare.
+    ab, long = s.Alphabet(("x", "y")), "x^" + "0" * 62 + "3"
+    assert str(ab.word(f"y {long}")) == "y x^3" and set(ab._tokens) == {"y"}
+
+
+def test_parse_memo_stays_bounded_under_racing_threads():
+    ab, threads = s.Alphabet(("x", "y")), 4
+    wrong: list[int] = []
+
+    def parse_range(offset):
+        for k in range(2 + offset, 6000, threads):
+            if str(ab.word(f"y x^{k} x^-{k - 1}")) != "y x":
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=parse_range, args=(i,)) for i in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert not wrong
+    # Threads that race past the size check can each add one token.
+    assert s.words._TOKEN_MEMO_SIZE <= len(ab._tokens) <= s.words._TOKEN_MEMO_SIZE + threads
+
+
+def test_str_split_and_re_agree_on_whitespace():
+    # parse splits tokens with str.split() and its scanner reads re's \s:
+    # both must see the same code points as whitespace.
+    text = "".join(map(chr, range(sys.maxunicode + 1)))
+    spaces = re.findall(r"\s", text)
+    assert "".join(text.split()) == re.sub(r"\s", "", text)
+    assert {" ", "\t", "\n", "\u2003", "\u001c"} <= set(spaces)
