@@ -8,7 +8,7 @@ generator assignment to the whole group.
 from dataclasses import dataclass
 from functools import cached_property
 
-from .words import Alphabet, Letter, Word
+from .words import Alphabet, Letter, Word, _gather
 
 __all__ = [
     "ActionParseError",
@@ -67,7 +67,7 @@ class Permutation:
 
     def then(self, other: "Permutation") -> "Permutation":
         """Composite: apply self first, then other."""
-        return _perm(tuple(map(other.images.__getitem__, self.images)))
+        return _perm(_gather(other.images, self.images))
 
     def is_identity(self) -> bool:
         return self.images == tuple(range(len(self.images)))
@@ -132,13 +132,18 @@ def evaluate(act: FiniteAction, point: int, w: Word) -> int:
 
 def perm_of_word(act: FiniteAction, w: Word) -> Permutation:
     """The permutation a word induces on all points at once."""
+    return _perm(_images(act, range(act.degree), w))
+
+
+def _images(act: FiniteAction, points, w: Word) -> tuple[int, ...]:
+    """The images of a sequence of points under a word: one gather per letter."""
     if w.alphabet is not act.alphabet and w.alphabet != act.alphabet:
         raise ValueError("alphabet mismatch")
     steps = act._steps
-    images = range(act.degree)
+    images = tuple(points)
     for lt in w.letters:
-        images = list(map(steps[lt].__getitem__, images))
-    return _perm(tuple(images))
+        images = _gather(steps[lt], images)
+    return images
 
 
 def _bfs(act: FiniteAction, base: int) -> tuple[list[int], dict[int, int], tuple[list[int], list[int], list[int]]]:

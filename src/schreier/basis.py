@@ -61,7 +61,7 @@ def _read_word(e: BasisElement, get=BasisElement.word.__get__, put=BasisElement.
         if "reps" in tr.__dict__:  # spelled out already: two tuples join faster than two tree paths climb
             t, u = (tr.reps[c].letters for c in cosets)
         else:
-            t, u = (tuple(map(alphabet._letters.__getitem__, _tree_path(tr._tree, 0, c))) for c in cosets)
+            t, u = (words._gather(alphabet._letters, _tree_path(tr._tree, 0, c)) for c in cosets)
         word = words._word(alphabet, t + (x,) + words._inverse_letters(alphabet, u))
         put(e, word)
         return word

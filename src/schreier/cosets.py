@@ -150,7 +150,7 @@ def build_table(act: FiniteAction, basepoint: int) -> tuple[CosetTable, Schreier
         raise ValueError(f"basepoint {basepoint} out of range for degree {act.degree}")
     points, index, tree = _bfs(act, basepoint)
     graph = FiniteAction(act.alphabet, len(points), tuple(
-        _perm(tuple(map(index.__getitem__, map(perm.images.__getitem__, points)))) for perm in act.gen_perms))
+        _perm(words._gather(index, words._gather(perm.images, points))) for perm in act.gen_perms))
     transversal = object.__new__(SchreierTransversal)
     transversal.__dict__.update(_alphabet=act.alphabet, _tree=tree)
     return CosetTable(act, basepoint, tuple(points), graph), transversal

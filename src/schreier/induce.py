@@ -11,7 +11,7 @@ H-action, which is what makes the basis free.
 from dataclasses import dataclass
 
 from . import actions, words
-from .actions import ActionParseError, FiniteAction, Permutation, evaluate
+from .actions import ActionParseError, FiniteAction, Permutation
 from .basis import InvariantError, SchreierBasis, _tree_edges
 from .cosets import CosetTable, SchreierTransversal, coset_of
 from .rewrite import rewrite
@@ -84,29 +84,61 @@ def induce(sigma: HAction, table: CosetTable, transversal: SchreierTransversal, 
     return InducedAction(FiniteAction(table.action.alphabet, d * m, tuple(gen_perms)), d, m)
 
 
-def _fiber_images(ind: InducedAction, w: Word) -> list[tuple[int, int]]:
-    """Where w sends each point (a, coset 0), as (a, coset) pairs."""
-    return [ind.decode(evaluate(ind.base, ind.encode(a, 0), w)) for a in range(ind.h_degree)]
+def _fibers(ind: InducedAction, transversal: SchreierTransversal) -> list[tuple[int, ...]]:
+    """Per coset c, where rep(c) sends the points (a, coset 0), encoded, for a = 0..d-1.
+
+    Parents first, by depth, each fiber is its parent's moved by one letter:
+    O(m·d) in all.  A coset whose parent is not a rep (reps given as words
+    that are not prefix-closed) walks its own rep.
+    """
+    act = ind.base
+    if transversal._alphabet is not act.alphabet and transversal._alphabet != act.alphabet:
+        raise ValueError("alphabet mismatch")
+    parents, codes, depths = transversal._tree
+    steps = tuple(act._steps.values())  # by letter code
+    fibers = [tuple(range(ind.h_degree))] * len(parents)  # the empty rep's
+    for c in sorted(range(len(parents)), key=depths.__getitem__):
+        if not depths[c]:
+            continue
+        if parents[c] is None:
+            fibers[c] = actions._images(act, fibers[c], transversal.reps[c])
+        else:
+            fibers[c] = words._gather(steps[codes[c]], fibers[parents[c]])
+    return fibers
 
 
 def check_claim(ind: InducedAction, transversal: SchreierTransversal) -> bool:
     """Whether every representative t sends (a, coset 0) to (a, coset of t)."""
-    points = range(ind.h_degree)
-    return all(_fiber_images(ind, t) == [(a, c) for a in points] for c, t in enumerate(transversal.reps))
+    fibers = _fibers(ind, transversal)
+    return [q for fiber in fibers for q in fiber] == list(range(ind.h_degree * len(fibers)))
 
 
 def restrict_to_h(ind: InducedAction, basis: SchreierBasis) -> tuple[Permutation, ...]:
     """The action each basis word induces on A over coset 0.
 
     Equals the defining H-action exactly; that identity is the proof
-    obligation checked by the test suite.
+    obligation checked by the test suite.  On a basis from ``compute_basis``
+    the word rep(c) x rep(cx)^-1 is read off its transversal's fibers, with
+    no word built: it stays over coset 0 iff x moves fiber c into fiber cx.
     """
+    d = ind.h_degree
+    source = basis.__dict__.get("_source")
+    if source is None:  # a hand-built basis: each word moves coset 0's points, to be found over coset 0
+        home = dict(zip(range(d), range(d)))
+        moves = ((home, actions._images(ind.base, range(d), e.word)) for e in basis.elements)
+    else:
+        _, tr, table_steps = source
+        fibers = _fibers(ind, tr)
+        inverses = [dict(zip(fiber, range(d))) for fiber in fibers]
+        steps, cosets = tuple(ind.base._steps.values()), tuple(table_steps.values())  # by letter code
+        moves = ((inverses[cosets[2 * e.gen][e.coset]], words._gather(steps[2 * e.gen], fibers[e.coset]))
+                 for e in basis.elements)
     perms = []
-    for element in basis.elements:
-        images, cosets = zip(*_fiber_images(ind, element.word))
-        if any(cosets):
-            raise InvariantError("basis word moved the coset coordinate")
-        perms.append(Permutation(images))
+    for inverse, points in moves:
+        try:
+            perms.append(actions._perm(words._gather(inverse, points)))
+        except KeyError:
+            raise InvariantError("basis word moved the coset coordinate") from None
     return tuple(perms)
 
 

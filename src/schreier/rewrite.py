@@ -130,7 +130,7 @@ def expand(basis: SchreierBasis, bw: BWord | Iterable[tuple[int, int]]) -> Word:
             stack.append(code)
         c = b
     _push(stack, _tree_path(tree, c, 0) if tr is not None else [])
-    return words._word(alphabet, tuple(map(letters.__getitem__, stack)))
+    return words._word(alphabet, words._gather(letters, stack))
 
 
 def _push(stack: list[int], codes: list[int]) -> None:

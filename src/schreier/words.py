@@ -13,6 +13,7 @@ that race past the size check can overfill it only by one token each.
 import re
 from dataclasses import dataclass
 from functools import cached_property, total_ordering
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
@@ -159,6 +160,13 @@ def _word(alphabet: Alphabet, letters: tuple[Letter, ...]) -> Word:
     return w
 
 
+def _gather(seq, indices) -> tuple:
+    """``tuple(seq[i] for i in indices)`` in one C call, with no wrapper call per index as ``map(seq.__getitem__, ...)``."""
+    if len(indices) > 1:
+        return itemgetter(*indices)(seq)
+    return (seq[indices[0]],) if indices else ()  # itemgetter(i) returns a bare item
+
+
 def _check_letter(lt: Letter, n: int) -> None:
     if not 0 <= lt.gen < n:
         raise ValueError(f"invalid letter: generator index {lt.gen} out of range for {n} generators")
@@ -192,7 +200,7 @@ def reduce(alphabet: Alphabet, raw: Iterable[tuple[int, int]]) -> Word:
             stack.pop()
         else:
             stack.append(code)
-    return _word(alphabet, tuple(map(alphabet._letters.__getitem__, stack)))
+    return _word(alphabet, _gather(alphabet._letters, stack))
 
 
 def concat(w: Word, v: Word) -> Word:

@@ -5,14 +5,16 @@ permutation image lists, on purpose: these functions re-derive expected
 values by slower, structurally different algorithms than the package
 (repeated-scan cancellation instead of a stack, word-equality lookups
 instead of (coset, generator) indexing, exhaustive search instead of a
-single deterministic scan).
+single deterministic scan).  The induced-action oracles walk each word
+one point at a time with ``evaluate``, where the package moves whole
+fibers along the Schreier vector.
 """
 
 import itertools
 import random
 
 import schreier.words
-from schreier import Alphabet, FiniteAction, Letter, Permutation, Word
+from schreier import Alphabet, FiniteAction, InvariantError, Letter, Permutation, Word, evaluate
 
 Pairs = tuple[tuple[int, int], ...]
 
@@ -170,6 +172,27 @@ def word_from_pairs(alphabet: Alphabet, pairs) -> Word:
 
 def pairs_of_word(w: Word) -> Pairs:
     return tuple((lt.gen, lt.sign) for lt in w.letters)
+
+
+def induced_fiber(ind, w: Word) -> list[tuple[int, int]]:
+    """Where w sends each point (a, coset 0) of an induced action, as (a, coset) pairs, one point at a time."""
+    return [ind.decode(evaluate(ind.base, a, w)) for a in range(ind.h_degree)]
+
+
+def claim_by_words(ind, transversal) -> bool:
+    """``check_claim`` by walking every representative, point by point."""
+    return all(induced_fiber(ind, t) == [(a, c) for a in range(ind.h_degree)] for c, t in enumerate(transversal.reps))
+
+
+def restrict_by_words(ind, basis) -> tuple[Permutation, ...]:
+    """``restrict_to_h`` by walking every basis word, point by point."""
+    perms = []
+    for e in basis.elements:
+        images, cosets = zip(*induced_fiber(ind, e.word))
+        if any(cosets):
+            raise InvariantError("basis word moved the coset coordinate")
+        perms.append(Permutation(images))
+    return tuple(perms)
 
 
 def count_built_words(monkeypatch) -> list:

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import schreier as s
-from helpers import make_action, random_perm_images, random_transitive_perms, random_word_pairs, word_from_pairs
+from helpers import (count_built_words, make_action, random_perm_images, random_transitive_perms, random_word_pairs,
+                     word_from_pairs)
 
 CYCLE3 = make_action(("x", "y"), [[1, 2, 0], [0, 1, 2]])
 
@@ -92,6 +93,43 @@ def test_restriction_recovers_sigma():
         ind = s.induce(sigma, table, tr, basis)
         assert s.restrict_to_h(ind, basis) == sigma.perms
         assert s.check_claim(ind, tr)
+
+
+def test_restriction_and_claim_build_no_word(monkeypatch):
+    # The reps of this dihedral action reach m/2 letters; both functions read the fibers off the Schreier vector.
+    m, rng = 40, random.Random(113)
+    act = make_action(("x", "y"), [[(i + 1) % m for i in range(m)], [(-i) % m for i in range(m)]])
+    built = count_built_words(monkeypatch)
+    table, tr, basis = setup_case(act)
+    sigma = s.HAction(3, tuple(s.Permutation(tuple(random_perm_images(rng, 3))) for _ in basis.elements))
+    ind = s.induce(sigma, table, tr, basis)
+    assert s.restrict_to_h(ind, basis) == sigma.perms and s.check_claim(ind, tr)
+    assert "reps" not in tr.__dict__ and built == []
+    # Each basis word is built on this first read, so no word slot was filled before.
+    assert [len(e.word) for e in basis.elements] == built
+
+
+def _over_another_alphabet():
+    table, tr, basis = setup_case(CYCLE3)
+    ind = s.induce(identity_sigma(basis, 2), table, tr, basis)
+    _, other_tr, other_basis = setup_case(make_action(("a", "b"), [[1, 2, 0], [0, 1, 2]]))
+    return ind, other_tr, other_basis
+
+
+def test_check_claim_refuses_another_alphabet():
+    ind, other_tr, _ = _over_another_alphabet()
+    for transversal in (other_tr, s.SchreierTransversal(other_tr.reps)):
+        with pytest.raises(ValueError, match="alphabet mismatch"):
+            s.check_claim(ind, transversal)
+
+
+def test_restrict_to_h_refuses_another_alphabet():
+    ind, _, other_basis = _over_another_alphabet()
+    by_hand = s.SchreierBasis(other_basis.alphabet, other_basis.num_cosets, tuple(
+        s.BasisElement(e.coset, e.gen, e.word) for e in other_basis.elements), other_basis.index)
+    for basis in (other_basis, by_hand):
+        with pytest.raises(ValueError, match="alphabet mismatch"):
+            s.restrict_to_h(ind, basis)
 
 
 def test_claim_on_worked_example():

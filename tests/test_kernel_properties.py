@@ -16,11 +16,13 @@ import schreier.cosets as cosets
 from helpers import (
     brute_factor_reduce,
     brute_reduce,
+    claim_by_words,
     ev_pairs,
     expand_pairs,
     make_action,
     pairs_of_word,
     random_transitive_perms,
+    restrict_by_words,
     rewrite_by_words,
     word_from_pairs,
 )
@@ -452,6 +454,51 @@ def test_induce_restricts_to_sigma_and_agrees_with_the_transfer_formula(case, da
     g = s.reduce(alphabet, raw)
     a2, c2 = s.tensor_action_generic(sigma, table, tr, basis, a, w_prior, g)
     assert s.evaluate(ind.base, ind.encode(a, s.coset_of(table, w_prior)), g) == ind.encode(a2, c2)
+
+
+def _tampered_inductions(ind: s.InducedAction, rng: random.Random):
+    """The induced action, then with one generator's permutation composed with a
+    transposition inside a fiber, and with one across two fibers, where there is room."""
+    yield ind
+    act, d, m = ind.base, ind.h_degree, ind.num_cosets
+    if not act.gen_perms:
+        return
+    g = rng.randrange(len(act.gen_perms))
+    swaps = []
+    if d > 1:
+        c, (a, b) = rng.randrange(m), rng.sample(range(d), 2)
+        swaps.append((ind.encode(a, c), ind.encode(b, c)))
+    if m > 1:
+        (a, b), (c, c2) = (rng.randrange(d) for _ in range(2)), rng.sample(range(m), 2)
+        swaps.append((ind.encode(a, c), ind.encode(b, c2)))
+    for p, q in swaps:
+        images = list(range(act.degree))
+        images[p], images[q] = q, p
+        perms = list(act.gen_perms)
+        perms[g] = perms[g].then(s.Permutation(tuple(images)))
+        yield s.InducedAction(s.FiniteAction(act.alphabet, act.degree, tuple(perms)), d, m)
+
+
+@given(action_with_transversals(), st.integers(1, 3), st.randoms(use_true_random=False))
+@example(([[0]], make_action(("x",), [[0]]), 0, None, [(0, 1), (0, 1)]), 1, random.Random(0))
+def test_restrict_to_h_and_check_claim_agree_with_walking_the_words(case, d, rng):
+    _, table, tr, raw = _build(case)
+    basis = s.compute_basis(table, tr)
+    sigma = s.HAction(d, tuple(s.Permutation(tuple(rng.sample(range(d), d))) for _ in basis.elements))
+    w = s.reduce(table.action.alphabet, raw)
+    # Reps that are not prefix-closed: a coset whose parent is not a rep walks its own word.
+    prefixed = s.SchreierTransversal(tuple(s.concat(w, t) for t in tr.reps))
+    by_hand = s.SchreierBasis(basis.alphabet, basis.num_cosets,
+                              tuple(s.BasisElement(e.coset, e.gen, e.word) for e in basis.elements), basis.index)
+    for ind in _tampered_inductions(s.induce(sigma, table, tr, basis), rng):
+        p = s.perm_of_word(ind.base, w)
+        assert p.images == tuple(s.evaluate(ind.base, q, w) for q in range(ind.base.degree))
+        assert p.then(p) == s.perm_of_word(ind.base, s.concat(w, w))
+        for transversal in (tr, prefixed):
+            assert _outcome(lambda: s.check_claim(ind, transversal)) == _outcome(lambda: claim_by_words(ind, transversal))
+        restricted = _outcome(lambda: restrict_by_words(ind, basis))
+        assert _outcome(lambda: s.restrict_to_h(ind, basis)) == restricted
+        assert _outcome(lambda: s.restrict_to_h(ind, by_hand)) == restricted
 
 
 def _is_bijection(perm: s.Permutation) -> bool:
