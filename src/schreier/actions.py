@@ -103,19 +103,17 @@ class FiniteAction:
                 )
 
     @cached_property
-    def _steps(self) -> dict[Letter, tuple[int, ...]]:
-        # One image tuple per signed generator, keyed by the alphabet's
-        # shared letters in shortlex letter order, so a letter acts by a
-        # single lookup with no branch on its sign.
-        steps = {}
-        for lt in self.alphabet._letters:
-            perm = self.gen_perms[lt.gen]
-            steps[lt] = (perm if lt.sign > 0 else perm.inverse).images
-        return steps
+    def _steps(self) -> tuple[tuple[int, ...], ...]:
+        # One image tuple per letter code 2g + (sign < 0), in shortlex letter
+        # order, so a letter acts by two indexings with no branch on its sign.
+        return tuple(images for perm in self.gen_perms for images in (perm.images, perm.inverse.images))
 
     def step(self, point: int, letter: Letter) -> int:
         """Image of a point under a single signed letter."""
-        return self._steps[letter][point]
+        g, sign = letter
+        if not 0 <= g < len(self.gen_perms) or sign not in (1, -1):
+            raise ValueError(f"invalid letter {tuple(letter)} for {len(self.gen_perms)} generators")
+        return self._steps[2 * g + (sign < 0)][point]
 
 
 def evaluate(act: FiniteAction, point: int, w: Word) -> int:
@@ -125,8 +123,8 @@ def evaluate(act: FiniteAction, point: int, w: Word) -> int:
     if not 0 <= point < act.degree:
         raise ValueError(f"point {point} out of range for degree {act.degree}")
     steps = act._steps
-    for lt in w.letters:
-        point = steps[lt][point]
+    for code in map(ord, w.codes):
+        point = steps[code][point]
     return point
 
 
@@ -141,8 +139,8 @@ def _images(act: FiniteAction, points, w: Word) -> tuple[int, ...]:
         raise ValueError("alphabet mismatch")
     steps = act._steps
     images = tuple(points)
-    for lt in w.letters:
-        images = _gather(steps[lt], images)
+    for code in map(ord, w.codes):
+        images = _gather(steps[code], images)
     return images
 
 
@@ -155,7 +153,7 @@ def _bfs(act: FiniteAction, base: int) -> tuple[list[int], dict[int, int], tuple
     that first reached it and its depth (0, 0 and 0 for base).  Letters
     are tried in shortlex order, per generator and positive before negative.
     """
-    steps = tuple(enumerate(act._steps.values()))  # by letter code, in shortlex letter order
+    steps = tuple(enumerate(act._steps))  # by letter code, in shortlex letter order
     points = [base]
     index = {base: 0}
     parents, codes, depths = [0], [0], [0]

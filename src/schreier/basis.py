@@ -56,13 +56,13 @@ def _read_word(e: BasisElement, get=BasisElement.word.__get__, put=BasisElement.
         return get(e)
     except AttributeError:  # unbuilt: join t, x and rep(tx)^-1, and keep the word
         alphabet, tr, steps = e._source
-        x = alphabet._letters[2 * e.gen]
-        cosets = (e.coset, steps[x][e.coset])
-        if "reps" in tr.__dict__:  # spelled out already: two tuples join faster than two tree paths climb
-            t, u = (tr.reps[c].letters for c in cosets)
+        code = 2 * e.gen
+        c, d = e.coset, steps[code][e.coset]
+        if "reps" in tr.__dict__:  # spelled out already: two strings join faster than two tree paths climb
+            t, u = tr.reps[c].codes, tr.reps[d].codes
+            word = words._word(alphabet, t + alphabet._chars[code] + u[::-1].translate(alphabet._flips))
         else:
-            t, u = (words._gather(alphabet._letters, _tree_path(tr._tree, 0, c)) for c in cosets)
-        word = words._word(alphabet, t + (x,) + words._inverse_letters(alphabet, u))
+            word = words._spell(alphabet, _tree_path(tr._tree, 0, c) + [code] + _tree_path(tr._tree, d, 0))
         put(e, word)
         return word
 
@@ -144,7 +144,7 @@ def _tree_edges(table: CosetTable, transversal: SchreierTransversal, cosets=None
     alphabet = table.action.alphabet
     if transversal._alphabet is not alphabet and transversal._alphabet != alphabet:
         raise ValueError("alphabet mismatch")
-    images = tuple(table.graph._steps.values())  # by letter code
+    images = table.graph._steps
     edges = [(parents[c], codes[c]) for c in cosets]
     if not all(p is not None and depths[p] < depths[c] and images[code][p] == c for c, (p, code) in zip(cosets, edges)):
         raise InvariantError(_NOT_SCHREIER)

@@ -107,21 +107,17 @@ def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: in
         except (_CheckFailure, AssertionError) as exc:
             results.append(CheckResult(name, False, str(exc)))
 
-    # After each letter, every letter but its inverse may follow, in
-    # shortlex letter order.
-    follow = {lt: [x for x in alphabet._letters if x is not alphabet._inverse[lt]]
-              for lt in alphabet._letters}
-
     def rand_word():
-        options = alphabet._letters
-        letters: list[Letter] = []
-        for _ in range(rng.randint(0, max_len)):
-            if not options:
-                break
-            lt = rng.choice(options)
-            letters.append(lt)
-            options = follow[lt]
-        return words._word(alphabet, tuple(letters))
+        # After each letter code, every code but its inverse may follow, in
+        # shortlex letter order: draw the rank of the next among those.
+        size, codes = rng.randint(0, max_len), []
+        while n and len(codes) < size:
+            if codes:
+                code = rng.randrange(2 * n - 1)
+                codes.append(code + (code >= codes[-1] ^ 1))
+            else:
+                codes.append(rng.randrange(2 * n))
+        return words._spell(alphabet, codes)
 
     def rand_h():
         u = rand_word()
@@ -142,8 +138,7 @@ def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: in
         for _ in range(trials):
             raw = _random_raw(rng, alphabet, 2 * max_len)
             w = words.reduce(alphabet, raw)
-            for a, b in zip(w.letters, w.letters[1:]):
-                _require(not (a.gen == b.gen and a.sign == -b.sign), "cancelling pair survived")
+            _require(all(ord(a) ^ 1 != ord(b) for a, b in zip(w.codes, w.codes[1:])), "cancelling pair survived")
             _require(words.reduce(alphabet, w.letters) == w, "reduce is not idempotent")
 
     check("words-reduce-idempotent", words_reduce_idempotent)
@@ -204,10 +199,10 @@ def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: in
 
     def transversal_prefix_closed():
         # Closed under prefixes iff each rep minus its last letter is a rep.
-        have = {r.letters for r in transversal.reps}
+        have = {r.codes for r in transversal.reps}
         for r in transversal.reps:
-            if r.letters and r.letters[:-1] not in have:
-                pfx = words._word(alphabet, r.letters[:-1])
+            if r.codes and r.codes[:-1] not in have:
+                pfx = words._word(alphabet, r.codes[:-1])
                 raise _CheckFailure(f"prefix {pfx} of {r} is not a representative")
 
     check("transversal-prefix-closed", transversal_prefix_closed)
@@ -316,7 +311,7 @@ def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: in
     check("rewrite-basis-fidelity", rewrite_basis_fidelity)
 
     def rewrite_empty_iff_identity():
-        bound = max_len if _enumerable(n, max_len) else 3
+        bound = max_len if _enumerable(n, max_len) else max(d for d in range(4) if _enumerable(n, d))
         count = 0
         for w in words.iter_reduced_words(alphabet, bound):
             if not contains(table, w):
@@ -362,12 +357,13 @@ def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: in
         ind.base, "identity word moved an induced point", "induced compatibility axiom failed"))
 
     def induce_coset_equivariance():
-        # Point a + d*c lies over coset c, so the coset parts of the induced
-        # images are the table's images, each repeated d times.
+        # Point a + d*c lies over coset c, so the coset of each induced
+        # image is the table's image of that point's coset.
+        over = tuple(q // h_degree for q in range(ind.base.degree))
         for _ in range(trials):
             w = rand_word()
-            cosets = [q // h_degree for q in perm_of_word(ind.base, w).images]
-            expected = [c2 for c2 in perm_of_word(table.graph, w).images for _ in range(h_degree)]
+            cosets = words._gather(over, perm_of_word(ind.base, w).images)
+            expected = words._gather(perm_of_word(table.graph, w).images, over)
             _require(cosets == expected, "coset coordinate strayed from the table")
 
     check("induce-coset-equivariance", induce_coset_equivariance)

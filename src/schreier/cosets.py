@@ -58,11 +58,11 @@ class SchreierTransversal:
     reps: tuple[Word, ...]
 
     def __post_init__(self):
-        index, alphabets = {r.letters: c for c, r in enumerate(self.reps)}, {r.alphabet for r in self.reps}
+        index, alphabets = {r.codes: c for c, r in enumerate(self.reps)}, {r.alphabet for r in self.reps}
         self.__dict__.update(_alphabet=alphabets.pop() if len(alphabets) == 1 else None, _tree=(
-            [index.get(r.letters[:-1]) for r in self.reps],
-            [r.alphabet._codes[r.letters[-1]] if r.letters else 0 for r in self.reps],
-            [len(r.letters) for r in self.reps]))
+            [index.get(r.codes[:-1]) for r in self.reps],
+            [ord(r.codes[-1]) if r.codes else 0 for r in self.reps],
+            [len(r.codes) for r in self.reps]))
 
     def __repr__(self) -> str:
         if "reps" in self.__dict__:
@@ -72,11 +72,11 @@ class SchreierTransversal:
 
 def _spell_reps(transversal: SchreierTransversal) -> tuple[Word, ...]:
     parents, codes, _ = transversal._tree
-    letters, shared = [()], transversal._alphabet._letters
+    texts, chars = [""], transversal._alphabet._chars
     for c in range(1, len(parents)):
         # Never cancels: undoing the parent's last letter leads to an earlier coset.
-        letters.append(letters[parents[c]] + (shared[codes[c]],))
-    return tuple(words._word(transversal._alphabet, t) for t in letters)
+        texts.append(texts[parents[c]] + chars[codes[c]])
+    return tuple(words._word(transversal._alphabet, t) for t in texts)
 
 
 # Set after the class is made, so ``reps`` stays its one field: a tree spells it out on first read and keeps it.

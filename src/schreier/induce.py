@@ -95,7 +95,7 @@ def _fibers(ind: InducedAction, transversal: SchreierTransversal) -> list[tuple[
     if transversal._alphabet is not act.alphabet and transversal._alphabet != act.alphabet:
         raise ValueError("alphabet mismatch")
     parents, codes, depths = transversal._tree
-    steps = tuple(act._steps.values())  # by letter code
+    steps = act._steps
     fibers = [tuple(range(ind.h_degree))] * len(parents)  # the empty rep's
     for c in sorted(range(len(parents)), key=depths.__getitem__):
         if not depths[c]:
@@ -130,8 +130,8 @@ def restrict_to_h(ind: InducedAction, basis: SchreierBasis) -> tuple[Permutation
         _, tr, table_steps = source
         fibers = _fibers(ind, tr)
         inverses = [dict(zip(fiber, range(d))) for fiber in fibers]
-        steps, cosets = tuple(ind.base._steps.values()), tuple(table_steps.values())  # by letter code
-        moves = ((inverses[cosets[2 * e.gen][e.coset]], words._gather(steps[2 * e.gen], fibers[e.coset]))
+        steps = ind.base._steps
+        moves = ((inverses[table_steps[2 * e.gen][e.coset]], words._gather(steps[2 * e.gen], fibers[e.coset]))
                  for e in basis.elements)
     perms = []
     for inverse, points in moves:

@@ -70,20 +70,12 @@ def rewrite(table: CosetTable, transversal: SchreierTransversal, basis: Schreier
     if w.alphabet != table.action.alphabet:
         raise ValueError("alphabet mismatch")
     steps = table.graph._steps
-    # Per signed letter, by coset, the factor it emits there: k for (k, 1), ~k for (k, -1), or None;
-    # x^-1 at coset c undoes the pair (c x^-1, x).  Built in O(m·n) on first use, kept for these steps.
-    if basis.__dict__.get("_factor_table", (None,))[0] is not steps:
-        emits = {}
-        for lt, images in steps.items():
-            ks = [basis.index[(c, lt.gen)] for c in range(len(images))]
-            emits[lt] = tuple(ks) if lt.sign > 0 else tuple(None if ks[d] is None else ~ks[d] for d in images)
-        object.__setattr__(basis, "_factor_table", (steps, emits))
-    emits = basis._factor_table[1]
+    emits = _tables(basis, steps)[0]
     factors: list[int] = []
     c = 0
-    for lt in w.letters:
-        f = emits[lt][c]
-        c = steps[lt][c]
+    for code in map(ord, w.codes):
+        f = emits[code][c]
+        c = steps[code][c]
         if f is not None:
             factors.append(f)
     if c != 0:
@@ -91,6 +83,23 @@ def rewrite(table: CosetTable, transversal: SchreierTransversal, basis: Schreier
     bw = object.__new__(BWord)
     object.__setattr__(bw, "factors", tuple((f, 1) if f >= 0 else (~f, -1) for f in factors))
     return bw
+
+
+def _tables(basis: SchreierBasis, steps: tuple[tuple[int, ...], ...]):
+    """Per letter code, by coset, the factor it emits there: k for (k, 1), ~k for (k, -1), or None
+    (x^-1 at coset c undoes the pair (c x^-1, x)); and, on a basis from ``compute_basis``, per element
+    its edge (from coset, code, to coset).  Built in O(m·n) on first use, kept for these table images."""
+    kept = basis.__dict__.get("_tables")
+    if kept is None or kept[0] is not steps:
+        emits = []
+        for code, images in enumerate(steps):
+            ks = [basis.index[(c, code >> 1)] for c in range(len(images))]
+            emits.append(tuple(ks) if not code & 1 else tuple(None if ks[d] is None else ~ks[d] for d in images))
+        elements = basis.elements if "_source" in basis.__dict__ else ()  # a hand-built one's need not fit the table
+        edges = tuple((e.coset, 2 * e.gen, steps[2 * e.gen][e.coset]) for e in elements)
+        kept = (steps, tuple(emits), edges)
+        object.__setattr__(basis, "_tables", kept)
+    return kept[1], kept[2]
 
 
 def expand(basis: SchreierBasis, bw: BWord | Iterable[tuple[int, int]]) -> Word:
@@ -104,9 +113,10 @@ def expand(basis: SchreierBasis, bw: BWord | Iterable[tuple[int, int]]) -> Word:
     a hand-built basis each factor's word goes on, in O(|b1| + ... + |bk|).
     """
     factors = bw.factors if isinstance(bw, BWord) else bw
-    elements, alphabet, letters = basis.elements, basis.alphabet, basis.alphabet._letters
+    elements, alphabet = basis.elements, basis.alphabet
     _, tr, steps = basis.__dict__.get("_source", (None, None, None))
-    tree = tr._tree if tr is not None else None  # None on a hand-built basis
+    if tr is not None:
+        tree, edges = tr._tree, _tables(basis, steps)[1]
     stack: list[int] = []
     c = 0
     for k, s in factors:
@@ -114,12 +124,11 @@ def expand(basis: SchreierBasis, bw: BWord | Iterable[tuple[int, int]]) -> Word:
             raise ValueError(f"basis index {k} out of range")
         if s not in (1, -1):
             raise ValueError(f"factor sign must be +1 or -1, got {s}")
-        e = elements[k]
-        if tr is None:  # a hand-built basis: push the factor's word, read backwards and inverted for s = -1
-            _push(stack, [alphabet._codes[lt] ^ (s < 0) for lt in e.word.letters[::int(s)]])
+        if tr is None:  # a hand-built basis: push the factor's word, inverted for s = -1
+            word = elements[k].word
+            _push(stack, [*map(ord, (word if s > 0 else words.invert(word)).codes)])
             continue
-        a, code = e.coset, 2 * e.gen  # the edge from coset a
-        b = steps[letters[code]][a]
+        a, code, b = edges[k]  # the edge from coset a
         if s == -1:
             a, b, code = b, a, code + 1
         if c != a:
@@ -130,7 +139,7 @@ def expand(basis: SchreierBasis, bw: BWord | Iterable[tuple[int, int]]) -> Word:
             stack.append(code)
         c = b
     _push(stack, _tree_path(tree, c, 0) if tr is not None else [])
-    return words._word(alphabet, words._gather(letters, stack))
+    return words._spell(alphabet, stack)
 
 
 def _push(stack: list[int], codes: list[int]) -> None:

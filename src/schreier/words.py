@@ -2,15 +2,19 @@
 
 Free-group elements are kept in their unique reduced form: no adjacent
 pair of a generator and its inverse.  The empty word is the group
-identity and prints as ``1``.  All values here are immutable and safe to
-share between threads.  The one exception is a bounded cache: each
+identity and prints as ``1``.  A word is one string of letter codes:
+the letter (g, sign) is the character chr(2g + (sign < 0)), so a code's
+inverse is code ^ 1 and codes sort in shortlex letter order
+x0 < x0^-1 < x1 < ...  All values here are immutable and safe to share
+between threads.  The one exception is a bounded cache: each
 ``Alphabet`` remembers short factor tokens ``parse`` has read, at most
 ``_TOKEN_MEMO_SIZE`` of them.  It is still thread-safe: a token always
-maps to the same factor, each dict read or write is atomic, and threads
+maps to the same value, each dict read or write is atomic, and threads
 that race past the size check can overfill it only by one token each.
 """
 
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property, total_ordering
 from operator import itemgetter
@@ -18,6 +22,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
     "Alphabet",
+    "AlphabetTooWideError",
     "Letter",
     "Word",
     "WordParseError",
@@ -34,20 +39,27 @@ __all__ = [
 
 # Most letters ``parse`` builds, counted after folding: ``x^2000000000`` fails fast.
 MAX_WORD_LENGTH = 1_000_000
+# Most generators a word can use: its 2n letter codes are characters, and chr stops at 0x10FFFF.
+MAX_GENERATORS = (sys.maxunicode + 1) // 2
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _NAME_RE = re.compile(_NAME + r"\Z")
 # One factor of ``parse`` and the separator after it: a name, an optional
 # ``^exponent``, then whitespace, at most one ``*`` and whitespace.
 _FACTOR_RE = re.compile(rf"({_NAME})(?:\^([+-]?[0-9]+))?(\s*\*?\s*)")
-# Most tokens ``parse`` memoises per alphabet, and the longest token it
-# memoises, so hostile input cannot grow the memo past about a megabyte.
+# Most tokens ``parse`` memoises per alphabet, and the longest token, and
+# run of codes, it memoises, so hostile input cannot grow the memo past
+# about a megabyte.
 _TOKEN_MEMO_SIZE = 4096
 _TOKEN_MEMO_WIDTH = 64
 
 
 class WordParseError(ValueError):
     """Raised when a word string does not match the word grammar."""
+
+
+class AlphabetTooWideError(ValueError):
+    """Raised when a word is built over more than ``MAX_GENERATORS`` generators."""
 
 
 class Letter(NamedTuple):
@@ -59,7 +71,7 @@ class Letter(NamedTuple):
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Ordered, distinct generator names; the order fixes shortlex."""
+    """Ordered, distinct generator names; the order fixes shortlex.  Its per-code tables are built on first use."""
 
     names: tuple[str, ...]
 
@@ -71,25 +83,37 @@ class Alphabet:
                 raise ValueError(f"invalid generator name: {name!r}")
         if len(set(names)) != len(names):
             raise ValueError("generator names must be distinct")
-        # One shared Letter per signed generator, indexed by its code
-        # 2g + (sign < 0), so the inverse is code ^ 1 and codes sort in
-        # shortlex letter order x0 < x0^-1 < x1 < ...  Words over this
-        # alphabet hold these objects, not a new tuple per letter.
-        letters = tuple(Letter(g, sign) for g in range(len(names)) for sign in (1, -1))
-        object.__setattr__(self, "_letters", letters)
-        object.__setattr__(self, "_inverse", {lt: letters[code ^ 1] for code, lt in enumerate(letters)})
-        object.__setattr__(self, "_codes", {lt: code for code, lt in enumerate(letters)})
 
     def __len__(self) -> int:
         return len(self.names)
+
+    @cached_property
+    def _chars(self) -> tuple[str, ...]:
+        """The character of each code: every word is spelt from it, so a wider alphabet (an H-action's) builds none."""
+        if len(self.names) > MAX_GENERATORS:
+            raise AlphabetTooWideError(f"a word can use at most {MAX_GENERATORS} generators, not {len(self.names)}")
+        return tuple(map(chr, range(2 * len(self.names))))
+
+    @cached_property
+    def _flips(self) -> str:  # the str.translate table from each code to its inverse
+        return "".join(self._chars[code ^ 1] for code in range(len(self._chars)))
+
+    @cached_property
+    def _singles(self) -> dict[str, str]:  # the text of each one-letter run, by its character
+        return {ch: _run(self.names[code >> 1], -1 if code & 1 else 1) for code, ch in enumerate(self._chars)}
+
+    @cached_property
+    def _letters(self) -> tuple[Letter, ...]:  # one shared Letter per code, built when a word's letters are read
+        return tuple(Letter(g, sign) for g in range(len(self.names)) for sign in (1, -1))
 
     @cached_property
     def _positions(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.names)}
 
     @cached_property
-    def _tokens(self) -> dict[str, tuple[int, int]]:
-        """``parse``'s memo: factor token -> (generator, exponent), at most ``_TOKEN_MEMO_SIZE``."""
+    def _tokens(self) -> dict[str, str | tuple[int, int]]:
+        """``parse``'s memo, at most ``_TOKEN_MEMO_SIZE`` tokens: factor token -> its run of codes,
+        or (generator, exponent) for a run longer than ``_TOKEN_MEMO_WIDTH``."""
         return {}
 
     def index(self, name: str) -> int:
@@ -104,35 +128,40 @@ class Alphabet:
 
 
 @total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Word:
     """A reduced word, the normal form of a free-group element.
 
-    The constructor insists on reduced input; use :func:`reduce` to
-    build a word from an arbitrary letter sequence.
+    ``codes`` holds one character per letter, chr of its code.
+    ``Word(alphabet, letters)`` takes Letters or (generator, sign) pairs
+    and insists on reduced input; use :func:`reduce` to build a word from
+    an arbitrary letter sequence.
     """
 
     alphabet: Alphabet
-    letters: tuple[Letter, ...] = ()
+    codes: str
 
-    def __post_init__(self):
-        raw = tuple(self.letters)
-        letters = reduce(self.alphabet, raw).letters
-        if len(letters) != len(raw):
+    def __init__(self, alphabet: Alphabet, letters: Iterable[tuple[int, int]] = ()):
+        raw = tuple(letters)
+        codes = reduce(alphabet, raw).codes
+        if len(codes) != len(raw):
             raise ValueError("word is not reduced")
-        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "codes", codes)
+
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        """The alphabet's shared Letter per code, built on each read."""
+        return _gather(self.alphabet._letters, [*map(ord, self.codes)])
 
     def __len__(self) -> int:
-        return len(self.letters)
-
-    def __bool__(self) -> bool:
-        return bool(self.letters)
+        return len(self.codes)
 
     def is_identity(self) -> bool:
-        return not self.letters
+        return not self.codes
 
-    def shortlex_key(self) -> tuple[int, tuple[int, ...]]:
-        return (len(self.letters), tuple(map(self.alphabet._codes.__getitem__, self.letters)))
+    def shortlex_key(self) -> tuple[int, str]:
+        return (len(self.codes), self.codes)
 
     def __lt__(self, other) -> bool:
         if not isinstance(other, Word):
@@ -148,16 +177,17 @@ class Word:
         return f"Word({format_word(self)!r})"
 
 
-def _word(alphabet: Alphabet, letters: tuple[Letter, ...]) -> Word:
-    """Trusted constructor: letters must be shared, in range and reduced.
-
-    Skips the O(len) validation of ``Word(...)``; only for kernels whose
-    output is reduced and in range by construction.
-    """
+def _word(alphabet: Alphabet, codes: str) -> Word:
+    """Trusted constructor, with no O(len) validation: only for codes in range and reduced by construction."""
     w = object.__new__(Word)
     object.__setattr__(w, "alphabet", alphabet)
-    object.__setattr__(w, "letters", letters)
+    object.__setattr__(w, "codes", codes)
     return w
+
+
+def _spell(alphabet: Alphabet, codes: list[int]) -> Word:
+    """Trusted constructor from int letter codes, in range and reduced."""
+    return _word(alphabet, "".join(_gather(alphabet._chars, codes)))
 
 
 def _gather(seq, indices) -> tuple:
@@ -165,13 +195,6 @@ def _gather(seq, indices) -> tuple:
     if len(indices) > 1:
         return itemgetter(*indices)(seq)
     return (seq[indices[0]],) if indices else ()  # itemgetter(i) returns a bare item
-
-
-def _check_letter(lt: Letter, n: int) -> None:
-    if not 0 <= lt.gen < n:
-        raise ValueError(f"invalid letter: generator index {lt.gen} out of range for {n} generators")
-    if lt.sign not in (1, -1):
-        raise ValueError(f"invalid letter: sign must be +1 or -1, got {lt.sign}")
 
 
 def identity(alphabet: Alphabet) -> Word:
@@ -193,14 +216,16 @@ def reduce(alphabet: Alphabet, raw: Iterable[tuple[int, int]]) -> Word:
     n = len(alphabet)
     stack: list[int] = []
     for g, s in raw:
-        if not (0 <= g < n and s in (1, -1)):
-            _check_letter(Letter(g, s), n)
+        if not 0 <= g < n:
+            raise ValueError(f"invalid letter: generator index {g} out of range for {n} generators")
+        if s not in (1, -1):
+            raise ValueError(f"invalid letter: sign must be +1 or -1, got {s}")
         code = 2 * g + (s < 0)
         if stack and stack[-1] == code ^ 1:
             stack.pop()
         else:
             stack.append(code)
-    return _word(alphabet, _gather(alphabet._letters, stack))
+    return _spell(alphabet, stack)
 
 
 def concat(w: Word, v: Word) -> Word:
@@ -208,27 +233,31 @@ def concat(w: Word, v: Word) -> Word:
 
     Both are reduced, so only their junction can cancel: O(|w| + |v|).
     """
-    if w.alphabet != v.alphabet:
+    if w.alphabet is not v.alphabet and w.alphabet != v.alphabet:
         raise ValueError("alphabet mismatch")
-    left, right, inverse = w.letters, v.letters, w.alphabet._inverse
-    k, top = 0, min(len(left), len(right))
-    while k < top and left[-1 - k] == inverse[right[k]]:
-        k += 1
+    left, right, k = w.codes, v.codes, 0
+    top = min(len(left), len(right))
+    if top and ord(left[-1]) ^ 1 == ord(right[0]):
+        # v opens with the inverse of w's last k letters: XOR the two as 32-bit
+        # numbers per code, and the highest bit left marks the first mismatch.
+        x = _number(left[:-top - 1:-1].translate(w.alphabet._flips)) ^ _number(right[:top])
+        k = top - (x.bit_length() + 31) // 32
     return _word(w.alphabet, left[:len(left) - k] + right[k:])
 
 
-def _inverse_letters(alphabet: Alphabet, letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    return tuple(map(alphabet._inverse.__getitem__, reversed(letters)))
+def _number(codes: str) -> int:
+    """The codes as one integer, 32 bits per code."""
+    return int.from_bytes(codes.encode("utf-32-be", "surrogatepass"), "big")
 
 
 def invert(w: Word) -> Word:
     """Group inverse: reverse the letters and flip every sign."""
-    return _word(w.alphabet, _inverse_letters(w.alphabet, w.letters))
+    return _word(w.alphabet, w.codes[::-1].translate(w.alphabet._flips))
 
 
 def prefixes(w: Word) -> list[Word]:
     """All prefixes of w, shortest first, ending with w itself."""
-    return [_word(w.alphabet, w.letters[:i]) for i in range(len(w.letters) + 1)]
+    return [_word(w.alphabet, w.codes[:i]) for i in range(len(w.codes) + 1)]
 
 
 def parse(text: str, alphabet: Alphabet) -> Word:
@@ -237,12 +266,30 @@ def parse(text: str, alphabet: Alphabet) -> Word:
     Factors are separated by whitespace, an optional ``*``, or both.
     Exponents are nonzero integers.  The result is reduced.
     """
-    # No token ([]) or one the memo cannot take (None): the scanner reads the text.
-    return _fold(alphabet, _token_factors(text, alphabet) or _scan_factors(text, alphabet))
+    tokens = text.split()
+    try:  # every token memoised with its run of codes: one join
+        codes = "".join(map(alphabet._tokens.__getitem__, tokens))
+    except (KeyError, TypeError):  # a token not memoised yet, or a long run's (generator, exponent)
+        codes = ""
+    if codes and len(codes) <= MAX_WORD_LENGTH and not _cancels(codes):
+        return _word(alphabet, codes)
+    # The fold: no token ([]) or one the memo cannot take (None) goes to the scanner.
+    return _fold(alphabet, _token_factors(tokens, alphabet) or _scan_factors(text, alphabet))
 
 
-def _token_factors(text: str, alphabet: Alphabet) -> list[tuple[int, int]] | None:
-    """The factors of a text of whitespace-separated factor tokens, else None.
+def _cancels(codes: str) -> bool:
+    """Whether two adjacent codes cancel: XOR them with themselves shifted a letter, and find a 1, all in C.
+    Codes past 255, of more than 128 generators, count as cancelling: the fold decides."""
+    try:
+        raw = codes.encode("latin-1")
+    except UnicodeEncodeError:
+        return True
+    x = int.from_bytes(raw, "big")
+    return (x ^ x >> 8).to_bytes(len(raw), "big").find(1, 1) >= 0
+
+
+def _token_factors(tokens: list[str], alphabet: Alphabet) -> list[tuple[int, int]] | None:
+    """The factors of whitespace-separated factor tokens, else None.
 
     Each token is looked up in the alphabet's memo, and learnt there if it
     is at most ``_TOKEN_MEMO_WIDTH`` characters long, while the memo holds
@@ -252,14 +299,17 @@ def _token_factors(text: str, alphabet: Alphabet) -> list[tuple[int, int]] | Non
     """
     memo = alphabet._tokens
     factors = []
-    for token in text.split():
+    for token in tokens:
         factor = memo.get(token)
         if factor is None:
             factor = _token_factor(token, alphabet)
             if factor is None:
                 return None
             if len(memo) < _TOKEN_MEMO_SIZE and len(token) <= _TOKEN_MEMO_WIDTH:
-                memo[token] = factor
+                gen, k = factor  # a short run is kept as its codes, ready to join
+                memo[token] = factor if abs(k) > _TOKEN_MEMO_WIDTH else alphabet._chars[2 * gen + (k < 0)] * abs(k)
+        elif type(factor) is str:
+            factor = ord(factor[0]) >> 1, len(factor) * (-1 if ord(factor[0]) & 1 else 1)
         factors.append(factor)
     return factors
 
@@ -321,43 +371,39 @@ def _scan_factors(text: str, alphabet: Alphabet) -> Iterator[tuple[int, int]]:
 
 def _fold(alphabet: Alphabet, factors: Iterable[tuple[int, int]]) -> Word:
     """The reduced word of (generator, exponent) factors, checked against ``MAX_WORD_LENGTH``."""
-    # Runs of one generator, gens[i]^exps[i]: a factor on the same
-    # generator as the last run folds into it, and a run that folds to 0 is
-    # dropped, so the runs stay freely reduced and no cancelled letter is
-    # ever built.
-    gens: list[int] = []
-    exps: list[int] = []
+    # Runs of one generator, [gen, exponent]: a factor on the same generator
+    # as the last run folds into it, and a run that folds to 0 is dropped, so
+    # the runs stay freely reduced and no cancelled letter is ever built.
+    runs: list[list[int]] = []
     for gen, k in factors:
-        if gens and gens[-1] == gen:
-            k += exps[-1]
-            if k:
-                exps[-1] = k
-            else:
-                gens.pop()
-                exps.pop()
+        if runs and runs[-1][0] == gen:
+            runs[-1][1] += k
+            if not runs[-1][1]:
+                runs.pop()
         else:
-            gens.append(gen)
-            exps.append(k)
-    if sum(map(abs, exps)) > MAX_WORD_LENGTH:
+            runs.append([gen, k])
+    if sum(abs(k) for _, k in runs) > MAX_WORD_LENGTH:
         raise WordParseError(f"word longer than the limit of {MAX_WORD_LENGTH} letters")
-    letters: list[Letter] = []
-    for gen, k in zip(gens, exps):
-        letters.extend([alphabet._letters[2 * gen + (k < 0)]] * abs(k))
-    return _word(alphabet, tuple(letters))
+    chars = alphabet._chars
+    return _word(alphabet, "".join([chars[2 * gen + (k < 0)] * abs(k) for gen, k in runs]))
 
 
 def format_word(w: Word) -> str:
     """Canonical text: run-length factors joined by single spaces."""
-    letters, names = w.letters, w.alphabet.names
-    if not letters:
+    codes, names, singles = w.codes, w.alphabet.names, w.alphabet._singles
+    if not codes:
         return "1"
     parts = []
-    i, end = 0, len(letters)
+    i, end = 0, len(codes)
     while i < end:
-        lt, j = letters[i], i + 1
-        while j < end and letters[j] == lt:
+        c, j = codes[i], i + 1
+        while j < end and codes[j] == c:
             j += 1
-        parts.append(_run(names[lt.gen], (j - i) * lt.sign))
+        if j - i == 1:
+            parts.append(singles[c])
+        else:
+            code = ord(c)
+            parts.append(_run(names[code >> 1], i - j if code & 1 else j - i))
         i = j
     return " ".join(parts)
 
@@ -369,16 +415,11 @@ def _run(name: str, k: int) -> str:
 
 def iter_reduced_words(alphabet: Alphabet, max_len: int) -> Iterator[Word]:
     """Yield every reduced word of length <= max_len in shortlex order."""
-    layer = [identity(alphabet)]
-    yield layer[0]
+    chars, flips, layer = alphabet._chars, alphabet._flips, [""]
+    yield _word(alphabet, "")
     for _ in range(max_len):
-        grown: list[Word] = []
-        for w in layer:
-            blocked = alphabet._inverse[w.letters[-1]] if w.letters else None
-            for lt in alphabet._letters:  # in shortlex letter order
-                if lt is not blocked:
-                    grown.append(_word(alphabet, w.letters + (lt,)))
-        if not grown:
+        # Each word grows by every letter but its last letter's inverse, in shortlex letter order.
+        layer = [codes + ch for codes in layer for ch in chars if not codes or ch != flips[ord(codes[-1])]]
+        if not layer:
             return
-        yield from grown
-        layer = grown
+        yield from (_word(alphabet, codes) for codes in layer)

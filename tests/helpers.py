@@ -34,6 +34,12 @@ def brute_reduce(pairs) -> Pairs:
     return tuple(out)
 
 
+def format_pairs(names, pairs) -> str:
+    """The canonical text of reduced letters: one ``name^k`` per run of a letter, by groupby."""
+    runs = [(g, s * len(list(run))) for (g, s), run in itertools.groupby(pairs)]
+    return " ".join(names[g] if k == 1 else f"{names[g]}^{k}" for g, k in runs) or "1"
+
+
 def brute_factor_reduce(factors) -> Pairs:
     # Same scheme, one level up: factors are (basis index, sign) pairs.
     return brute_reduce(factors)

@@ -96,6 +96,11 @@ def test_evaluate_rejects_bad_input():
         s.evaluate(CYCLE3, 3, s.parse("x", CYCLE3.alphabet))
     with pytest.raises(ValueError, match="out of range"):
         s.evaluate(CYCLE3, -1, s.parse("x", CYCLE3.alphabet))
+    # step indexes its table by letter code, so a letter out of range must not wrap to another.
+    assert CYCLE3.step(0, s.Letter(0, -1)) == CYCLE3.step(0, (0, -1)) == 2
+    for bad in (s.Letter(2, 1), s.Letter(-1, 1), s.Letter(0, 0), s.Letter(1, 2)):
+        with pytest.raises(ValueError, match="invalid letter"):
+            CYCLE3.step(0, bad)
 
 
 def test_perm_of_word_and_orbit_reject_bad_input():

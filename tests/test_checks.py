@@ -92,6 +92,16 @@ def test_one_generator_scans_are_capped_by_letters():
     assert all(r.passed for r in by_name.values())
 
 
+def test_the_fallback_scan_stays_under_the_cap_on_a_wide_alphabet():
+    # With 600 generators even length 2 holds 1,440,001 reduced words, so
+    # the fallback scan shrinks from length 3 (about 1.7 billion) to 1.
+    names = tuple(f"g{i}" for i in range(600))
+    act = make_action(names, [[1, 0]] * 600)
+    by_name = {r.name: r for r in s.run_checks(act, max_len=2, trials=3)}
+    assert by_name["rewrite-empty-iff-identity"].detail == "1 stabilizer elements up to length 1"
+    assert all(r.passed for r in by_name.values())
+
+
 def test_the_letter_cap_changes_no_scan_with_two_or_more_generators():
     def words_up_to(n, length):
         return 1 + sum(2 * n * (2 * n - 1) ** (k - 1) for k in range(1, length + 1))

@@ -19,11 +19,13 @@ from helpers import (
     claim_by_words,
     ev_pairs,
     expand_pairs,
+    format_pairs,
     make_action,
     pairs_of_word,
     random_transitive_perms,
     restrict_by_words,
     rewrite_by_words,
+    shortlex_key,
     word_from_pairs,
 )
 
@@ -109,6 +111,50 @@ def test_parse_agrees_with_brute_reduce(case):
     w = s.parse(text, alphabet)
     assert pairs_of_word(w) == brute_reduce(raw)
     assert _revalidates(w)
+
+
+@st.composite
+def run_text(draw):
+    """An alphabet, the letters of up to 12 factor tokens and their text; a token often undoes
+    part of the one before it, and exponents pass the longest run the memo keeps as codes."""
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    factors = []
+    for _ in range(draw(st.integers(0, 12))):
+        if factors and draw(st.booleans()):
+            g, k = factors[-1]
+            factors.append((g, -draw(st.integers(1, abs(k))) * (1 if k > 0 else -1)))
+        else:
+            factors.append((draw(st.integers(0, len(alphabet) - 1)), draw(st.integers(-70, 70).filter(bool))))
+    raw = [(g, 1 if k > 0 else -1) for g, k in factors for _ in range(abs(k))]
+    return alphabet, raw, " ".join(f"{alphabet.names[g]}^{k}" for g, k in factors) or "1"
+
+
+@given(run_text())
+@example((ALPHABETS[1], [(0, 1)] * 70 + [(0, -1)] * 70 + [(1, 1)], "a^70 a^-70 b"))
+@example((ALPHABETS[1], [(0, 1), (1, 1), (1, -1), (0, -1)], "a^1 b b^-1 a^-1"))
+def test_parse_and_format_word_agree_with_the_oracles(case):
+    # Cold, then with every token memoised: tokens that cancel across their
+    # junction, and long runs the memo keeps as (generator, exponent).
+    alphabet, raw, text = case
+    pairs = brute_reduce(raw)
+    for ab in (s.Alphabet(alphabet.names), alphabet, alphabet):
+        w = s.parse(text, ab)
+        assert pairs_of_word(w) == pairs and _revalidates(w)
+    assert s.format_word(w) == format_pairs(alphabet.names, pairs)
+    assert s.parse(s.format_word(w), alphabet) == w
+
+
+@given(alphabet_and_raws(2))
+def test_shortlex_key_and_letters_agree_with_the_oracles(case):
+    alphabet, raws = case
+    words = [s.reduce(alphabet, raw) for raw in raws]
+    keys = [shortlex_key(pairs_of_word(w)) for w in words]
+    assert [w.shortlex_key()[0] for w in words] == [k[0] for k in keys]
+    assert [tuple(map(ord, w.shortlex_key()[1])) for w in words] == [k[1] for k in keys]
+    assert (words[0] < words[1]) == (keys[0] < keys[1]) and (words[0] == words[1]) == (keys[0] == keys[1])
+    for w, raw in zip(words, raws):
+        assert w.letters == tuple(s.Letter(g, sign) for g, sign in brute_reduce(raw))
+        assert all(lt is alphabet._letters[ord(c)] for lt, c in zip(w.letters, w.codes))
 
 
 # Valid exponents and separators, including ones that re's \s and

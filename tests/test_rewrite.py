@@ -3,6 +3,7 @@ import random
 import pytest
 
 import schreier as s
+import schreier.cli as cli
 from helpers import (
     brute_factor_reduce,
     make_action,
@@ -169,3 +170,26 @@ def test_rewrite_works_for_alternate_transversal():
         u = word_from_pairs(ab, random_word_pairs(rng, 2, 7))
         h = s.concat(u, s.invert(s.rep(table, alt, u)))
         assert s.expand(basis, s.rewrite(table, alt, basis, h)) == h
+
+
+def test_a_query_never_builds_letters(monkeypatch, tmp_path, capsys):
+    # parse, contains, rewrite, expand and format_word all walk the codes.
+    act = make_action(("x", "y", "z"), random_transitive_perms(random.Random(3), 3, 40))
+    table, tr, basis = setup_case(act)
+    ab = act.alphabet
+    queries = [s.concat(w, s.invert(s.rep(table, tr, w)))
+               for w in (ab.word("x^3 y^-2 z x^-1"), ab.word("y x^-1 y^70 z^-1 y^-69 x"))]
+    path = tmp_path / "action.txt"
+    path.write_text(s.format_action_text(act))
+    read = []
+    letters = s.Word.letters
+    monkeypatch.setattr(s.Word, "letters", property(lambda w: read.append(w) or letters.__get__(w)))
+    for h in queries:
+        text = s.format_word(h)
+        w = s.parse(text, ab)
+        assert s.contains(table, w)
+        assert s.format_word(s.expand(basis, s.rewrite(table, tr, basis, w))) == text
+        assert cli.main(["rewrite", str(path), text]) == 0
+        assert capsys.readouterr().out.endswith(f"expanded: {text}\n")
+    assert read == [] and "_letters" not in vars(ab)
+    assert s.Word(ab, queries[0].letters) == queries[0] and read == [queries[0]]

@@ -248,6 +248,15 @@ def test_parse_memo_is_bounded():
     assert str(ab.word(f"y {long}")) == "y x^3" and set(ab._tokens) == {"y"}
 
 
+def test_parse_memo_keeps_only_short_runs_as_codes():
+    # At most 64 codes per token, so the memo's runs stay under 4,096 x 64 characters.
+    ab = s.Alphabet(("x", "y"))
+    for _ in range(2):  # cold, then a join of memoised runs that cancel across a junction
+        assert str(ab.word("x^64 y^-65 y^65 x^-2 y")) == "x^62 y"
+    assert ab._tokens == {"x^64": "\x00" * 64, "y^-65": (1, -65), "y^65": (1, 65), "x^-2": "\x01\x01", "y": "\x02"}
+    assert str(ab.word("x^64 x^-2 y")) == "x^62 y"
+
+
 def test_parse_memo_stays_bounded_under_racing_threads():
     ab, threads = s.Alphabet(("x", "y")), 4
     wrong: list[int] = []
@@ -280,3 +289,49 @@ def test_str_split_and_re_agree_on_whitespace():
     spaces = re.findall(r"\s", text)
     assert "".join(text.split()) == re.sub(r"\s", "", text)
     assert {" ", "\t", "\n", "\u2003", "\u001c"} <= set(spaces)
+
+
+def test_a_word_is_one_string_of_letter_codes():
+    w = XY.word("x^2 y^-1 x^-1")
+    assert w.codes == "\x00\x00\x03\x01"  # chr(2g + (sign < 0)) per letter
+    assert s.Word(XY, w.letters) == w and w == s.words._word(XY, w.codes)
+    assert w.shortlex_key() == (4, w.codes) and len(w) == 4 and bool(w) and not s.identity(XY)
+    assert s.invert(w).codes == "\x00\x02\x01\x01"
+    assert hash(w) == hash(s.parse("x x y^-1 x^-1", XY))
+    # Past 128 generators codes leave latin-1, and past 27,647 they reach the surrogate code points.
+    wide = s.Alphabet(tuple(f"g{i}" for i in range(30000)))
+    v = wide.word("g27700^-2 g150 g150^-1 g29999 g3")
+    assert v.codes == chr(55401) * 2 + chr(59998) + chr(6) and str(v) == "g27700^-2 g29999 g3"
+    assert s.concat(v, s.invert(wide.word("g29999 g3"))) == wide.word("g27700^-2")
+    assert s.concat(s.invert(v), v).is_identity() and str(s.invert(v)) == "g3^-1 g29999^-1 g27700^2"
+
+
+def test_letters_are_the_alphabets_shared_letters_of_the_codes():
+    ab = s.Alphabet(("x", "y", "z"))
+    w = ab.word("z^-1 x^3 y")
+    assert "_letters" not in vars(ab)  # built on the first read of some word's letters
+    assert w.letters == (s.Letter(2, -1), s.Letter(0, 1), s.Letter(0, 1), s.Letter(0, 1), s.Letter(1, 1))
+    assert all(lt is ab._letters[ord(c)] for lt, c in zip(w.letters, w.codes))
+    assert all(x is y for x, y in zip(w.letters, s.concat(w, w).letters))
+
+
+def test_words_over_too_wide_an_alphabet_raise_a_typed_error(monkeypatch):
+    # Codes are characters, so the last generator's inverse has the last code point.
+    assert chr(2 * s.words.MAX_GENERATORS - 1) == chr(sys.maxunicode)
+    with pytest.raises(ValueError):
+        chr(2 * s.words.MAX_GENERATORS)
+    # The limit is read when a word is built, so a small one stands in for 557,056.
+    monkeypatch.setattr(s.words, "MAX_GENERATORS", 2)
+    wide = s.Alphabet(("x", "y", "z"))  # still an alphabet, as an H-action's may be
+    action = s.FiniteAction(wide, 2, (s.Permutation((1, 0)),) * 3)
+    assert len(wide) == 3 and s.orbit(action, 0) == [0, 1]
+    builds = [
+        lambda: s.identity(wide), lambda: s.single(wide, 0), lambda: s.Word(wide, [(0, 1)]),
+        lambda: s.reduce(wide, []), lambda: s.parse("x y", wide), lambda: s.parse("1", wide),
+        lambda: next(s.iter_reduced_words(wide, 1)), lambda: s.build_table(action, 0)[1].reps,
+    ]
+    for build in builds:
+        with pytest.raises(s.AlphabetTooWideError, match="at most 2 generators, not 3"):
+            build()
+    assert issubclass(s.AlphabetTooWideError, ValueError) and str(XY.word("x y^-1")) == "x y^-1"
+    assert str(s.identity(s.Alphabet(("x", "y")))) == "1"
