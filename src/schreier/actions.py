@@ -129,17 +129,21 @@ def evaluate(act: FiniteAction, point: int, w: Word) -> int:
 
 
 def perm_of_word(act: FiniteAction, w: Word) -> Permutation:
-    """The permutation a word induces on all points at once."""
-    return _perm(_images(act, range(act.degree), w))
+    """The permutation a word induces on all points at once: |w| - 1 gathers from its first letter's images."""
+    return _perm(_images(act, None if w.codes else range(act.degree), w))
 
 
 def _images(act: FiniteAction, points, w: Word) -> tuple[int, ...]:
-    """The images of a sequence of points under a word: one gather per letter."""
+    """The images of a sequence of points under a word, one gather per letter; with points None, of all points
+    under a nonempty word, gathered from its first letter's image tuple."""
     if w.alphabet is not act.alphabet and w.alphabet != act.alphabet:
         raise ValueError("alphabet mismatch")
-    steps = act._steps
-    images = tuple(points)
-    for code in map(ord, w.codes):
+    steps, codes = act._steps, w.codes
+    if points is None:
+        images, codes = steps[ord(codes[0])], codes[1:]
+    else:
+        images = tuple(points)
+    for code in map(ord, codes):
         images = _gather(steps[code], images)
     return images
 

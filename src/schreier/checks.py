@@ -8,11 +8,12 @@ seed.
 
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import words
 from .actions import FiniteAction, Permutation, evaluate, perm_of_word
 from .basis import compute_basis, degenerate_count
-from .cosets import build_table, coset_of, rep
+from .cosets import CosetTable, build_table, coset_of, rep
 from .induce import HAction, check_claim, induce, restrict_to_h, tensor_action_generic
 from .rewrite import NotInSubgroupError, contains, expand, rewrite
 from .words import Letter, Word
@@ -55,7 +56,7 @@ def _random_raw(rng: random.Random, alphabet, max_len: int) -> list[tuple[int, i
     n = len(alphabet)
     if n == 0:
         return []
-    return [(rng.randrange(n), rng.choice((1, -1))) for _ in range(rng.randint(0, max_len))]
+    return [(rng.randrange(n), rng.choice((1, -1))) for _ in range(rng.randrange(max_len + 1))]
 
 
 def _enumerable(n: int, max_len: int) -> bool:
@@ -68,6 +69,29 @@ def _enumerable(n: int, max_len: int) -> bool:
         if total > _ENUMERATION_CAP or letters > _LETTER_CAP:
             return False
     return True
+
+
+def _walk(table: CosetTable, length: int) -> Iterator[tuple[str, int]]:
+    """Every reduced word up to length in shortlex order, as (codes, coset) pairs.
+
+    The coset-table walk, a length at a time: each child's coset is one step
+    of the table's graph from its parent's, so a word costs one step past
+    the string of its codes, and no ``Word`` is built.
+    """
+    chars, steps = table.graph.alphabet._chars, table.graph._steps
+    # The codes, and image tuples, of the letters that may follow each last
+    # letter, in shortlex letter order: every letter but its inverse.
+    follow, moves = {"": "".join(chars)}, {"": steps}
+    texts, cosets = [""], [0]
+    yield "", 0
+    for depth in range(1, length + 1):
+        if depth == 2:  # only now, so a wide alphabet scanned to length 1 builds no table
+            for code, ch in enumerate(chars):
+                k = code ^ 1
+                follow[ch], moves[ch] = "".join(chars[:k] + chars[k + 1:]), steps[:k] + steps[k + 1:]
+        cosets = [images[c] for t, c in zip(texts, cosets) for images in moves[t[-1:]]]
+        texts = [t + ch for t in texts for ch in follow[t[-1:]]]
+        yield from zip(texts, cosets)
 
 
 def _bconcat(left: tuple[tuple[int, int], ...], right: tuple[tuple[int, int], ...]):
@@ -110,7 +134,7 @@ def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: in
     def rand_word():
         # After each letter code, every code but its inverse may follow, in
         # shortlex letter order: draw the rank of the next among those.
-        size, codes = rng.randint(0, max_len), []
+        size, codes = rng.randrange(max_len + 1), []
         while n and len(codes) < size:
             if codes:
                 code = rng.randrange(2 * n - 1)
@@ -144,13 +168,13 @@ def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: in
     check("words-reduce-idempotent", words_reduce_idempotent)
 
     def words_group_laws():
+        e = words.identity(alphabet)
         for _ in range(trials):
             w, v, u = rand_word(), rand_word(), rand_word()
             _require(
                 words.concat(words.concat(w, v), u) == words.concat(w, words.concat(v, u)),
                 "concat is not associative",
             )
-            e = words.identity(alphabet)
             _require(words.concat(w, e) == w == words.concat(e, w), "identity law failed")
             _require(words.concat(w, words.invert(w)) == e, "inverse law failed")
             _require(words.invert(words.invert(w)) == w, "invert is not an involution")
@@ -219,10 +243,9 @@ def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: in
         longest = max(len(r) for r in transversal.reps)
         if _enumerable(n, longest):
             first: dict[int, Word] = {}
-            for w in words.iter_reduced_words(alphabet, longest):
-                c = coset_of(table, w)
+            for codes, c in _walk(table, longest):
                 if c not in first:
-                    first[c] = w
+                    first[c] = words._word(alphabet, codes)
             for c, r in enumerate(transversal.reps):
                 if first[c] != r:
                     raise _CheckFailure(f"coset {c}: {first[c]} is smaller than rep {r}")
@@ -272,12 +295,13 @@ def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: in
 
     def basis_degenerate_bijection():
         # Word arithmetic, not the tree edges compute_basis reads.
+        singles, e = [words.single(alphabet, g) for g in range(n)], words.identity(alphabet)
         for c, t in enumerate(transversal.reps):
             for g, perm in enumerate(table.graph.gen_perms):
                 c2 = perm(c)
-                word = words.concat(words.concat(t, words.single(alphabet, g)), words.invert(transversal.reps[c2]))
+                word = words.concat(words.concat(t, singles[g]), words.invert(transversal.reps[c2]))
                 k = basis.index[(c, g)]
-                if word != (basis.elements[k].word if k is not None else words.identity(alphabet)):
+                if word != (basis.elements[k].word if k is not None else e):
                     raise _CheckFailure(f"pair ({c}, {g}) does not match its word {word}")
 
     check("basis-degenerate-bijection", basis_degenerate_bijection)
@@ -313,9 +337,10 @@ def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: in
     def rewrite_empty_iff_identity():
         bound = max_len if _enumerable(n, max_len) else max(d for d in range(4) if _enumerable(n, d))
         count = 0
-        for w in words.iter_reduced_words(alphabet, bound):
-            if not contains(table, w):
+        for codes, c in _walk(table, bound):
+            if c:  # outside the stabilizer
                 continue
+            w = words._word(alphabet, codes)
             count += 1
             bw = rewrite(table, transversal, basis, w)
             if (len(bw) == 0) != w.is_identity():

@@ -87,6 +87,16 @@ class Alphabet:
     def __len__(self) -> int:
         return len(self.names)
 
+    def __hash__(self) -> int:  # explicit, so dataclass keeps it: hashing a word costs O(1), not O(len(names))
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.names)
+
+    def __reduce__(self):  # names alone: a str hash, and so ``_hash``, differs from one process to the next
+        return type(self), (self.names,)
+
     @cached_property
     def _chars(self) -> tuple[str, ...]:
         """The character of each code: every word is spelt from it, so a wider alphabet (an H-action's) builds none."""

@@ -7,14 +7,16 @@ values by slower, structurally different algorithms than the package
 instead of (coset, generator) indexing, exhaustive search instead of a
 single deterministic scan).  The induced-action oracles walk each word
 one point at a time with ``evaluate``, where the package moves whole
-fibers along the Schreier vector.
+fibers along the Schreier vector; the scan oracle walks each enumerated
+word whole, where the check suite steps it from its prefix.
 """
 
 import itertools
 import random
 
 import schreier.words
-from schreier import Alphabet, FiniteAction, InvariantError, Letter, Permutation, Word, evaluate
+from schreier import (Alphabet, FiniteAction, InvariantError, Letter, Permutation, Word, coset_of, evaluate,
+                      iter_reduced_words)
 
 Pairs = tuple[tuple[int, int], ...]
 
@@ -178,6 +180,21 @@ def word_from_pairs(alphabet: Alphabet, pairs) -> Word:
 
 def pairs_of_word(w: Word) -> Pairs:
     return tuple((lt.gen, lt.sign) for lt in w.letters)
+
+
+def scan_by_words(table, length: int) -> tuple[dict[int, Word], int]:
+    """The first reduced word up to length of each coset reached, and how many of them lie in the stabilizer.
+
+    Enumerates every word with ``iter_reduced_words`` and walks each one
+    from coset 0 with ``coset_of``, where the check suite steps each
+    word's coset once from its prefix's.
+    """
+    first, members = {}, 0
+    for w in iter_reduced_words(table.graph.alphabet, length):
+        c = coset_of(table, w)
+        first.setdefault(c, w)
+        members += c == 0
+    return first, members
 
 
 def induced_fiber(ind, w: Word) -> list[tuple[int, int]]:

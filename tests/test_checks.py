@@ -144,6 +144,34 @@ def test_nonzero_basepoint():
     assert all(r.passed for r in results)
 
 
+# Every draw of run_checks on a 3-generator action, seed 0, one trial: per
+# getrandbits(k) call, the digit k, then the value drawn in hex.
+_DRAWS_SEED_0 = (
+    "232123232120212322212123232321232121222323202220212023202223213737342322232223202120222023232221"
+    "333430323332343537313734333336343230363734373030353633353636353530343323232120222122232031373431"
+    "313637313634333030373237343737333032343235303432363734313736343434323330343633323431323131232030"
+    "343735323330"
+)
+
+
+def test_the_draw_stream_is_pinned(monkeypatch):
+    # Any change to how the suite draws (rand_word, _random_raw, the
+    # H-action's shuffles) shifts this log, and with it every detail.
+    log = []
+
+    class Logged(random.Random):
+        def getrandbits(self, k):
+            value = super().getrandbits(k)
+            log.append(f"{k}{value:x}")
+            return value
+
+    monkeypatch.setattr(schreier.checks.random, "Random", Logged)
+    act = make_action(("x", "y", "z"), [[1, 2, 0, 3], [0, 1, 3, 2], [3, 1, 2, 0]])
+    results = s.run_checks(act, max_len=3, seed=0, trials=1)
+    assert all(r.passed for r in results), [r for r in results if not r.passed]
+    assert "".join(log) == _DRAWS_SEED_0
+
+
 def _failures_with(monkeypatch, tamper):
     """run_checks on the 3-cycle, with build_table's output passed through tamper."""
     real = schreier.checks.build_table

@@ -6,11 +6,13 @@ import json
 import os
 import random
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 import schreier as s
+import schreier.checks as checks
 import schreier.cli as cli
 import schreier.cosets as cosets
 from helpers import (
@@ -25,6 +27,7 @@ from helpers import (
     random_transitive_perms,
     restrict_by_words,
     rewrite_by_words,
+    scan_by_words,
     shortlex_key,
     word_from_pairs,
 )
@@ -283,11 +286,16 @@ def action_and_word(draw):
 
 
 @given(action_and_word())
+@example(([[0]], make_action(("x",), [[0]]), s.parse("x^-2", s.Alphabet(("x",))), 0))
 def test_action_kernels_agree_with_ev_pairs(case):
     perms, act, w, p = case
     pairs = pairs_of_word(w)
     assert s.evaluate(act, p, w) == ev_pairs(perms, p, pairs)
-    assert s.perm_of_word(act, w).images == tuple(ev_pairs(perms, q, pairs) for q in range(act.degree))
+    # perm_of_word starts from the first letter's image tuple: also the empty word, one letter of each sign, degree 1.
+    singles = [s.single(act.alphabet, g, sign) for g in range(len(perms)) for sign in (1, -1)]
+    for v in (w, s.identity(act.alphabet), *singles):
+        expected = tuple(ev_pairs(perms, q, pairs_of_word(v)) for q in range(act.degree))
+        assert s.perm_of_word(act, v).images == tuple(s.evaluate(act, q, v) for q in range(act.degree)) == expected
     for g in range(len(act.alphabet)):
         for sign in (1, -1):
             # Fresh letters, not only the alphabet's shared ones.
@@ -374,6 +382,31 @@ def test_rewrite_is_a_homomorphism_against_brute_factor_reduce(case, data):
     h1, h2 = (s.concat(u, s.invert(s.rep(table, tr, u))) for u in (s.reduce(alphabet, r) for r in (raw, other)))
     assert factors(s.concat(h1, h2)) == brute_factor_reduce(factors(h1) + factors(h2))
     assert factors(s.invert(h1)) == brute_factor_reduce(_inverse_pairs(factors(h1)))
+
+
+@given(action_with_transversals(), st.integers(0, 4))
+def test_check_scans_agree_with_scan_by_words(case, max_len):
+    # The drawn actions fit the caps, so both scans are exhaustive: the
+    # first word per coset against the reps, and the stabilizer up to max_len.
+    _, table, tr, _ = _build(case)
+    longest = max(len(r) for r in tr.reps)
+    first, _ = scan_by_words(table, longest)
+    walked = {}
+    for codes, c in checks._walk(table, longest):
+        walked.setdefault(c, codes)
+    assert walked == {c: w.codes for c, w in first.items()}
+    with mock.patch.object(checks, "build_table", lambda act, base: (table, tr)):
+        by_name = {r.name: r for r in s.run_checks(table.action, table.basepoint, max_len, trials=0)}
+    wrong = [c for c, r in enumerate(tr.reps) if first[c] != r]
+    minimal = by_name["transversal-shortlex-minimal"]
+    if wrong:
+        c = wrong[0]
+        assert (minimal.passed, minimal.detail) == (False, f"coset {c}: {first[c]} is smaller than rep {tr.reps[c]}")
+    else:
+        assert (minimal.passed, minimal.detail) == (True, f"exhaustive up to length {longest}")
+    members = scan_by_words(table, max_len)[1]
+    assert by_name["rewrite-empty-iff-identity"].detail == f"{members} stabilizer elements up to length {max_len}"
+    assert all(r.passed for r in by_name.values() if r.name != "transversal-shortlex-minimal")
 
 
 def _listings(act, base) -> dict[tuple[str, str], str]:

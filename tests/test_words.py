@@ -1,3 +1,4 @@
+import pickle
 import random
 import re
 import sys
@@ -202,6 +203,31 @@ def test_words_are_hashable_values():
     w2 = s.concat(s.parse("x", XY), s.parse("y", XY))
     assert w1 == w2 and hash(w1) == hash(w2)
     assert len({w1, w2}) == 1
+
+
+def test_an_alphabet_hashes_its_names_once():
+    hashed = []
+
+    class Name(str):
+        def __hash__(self):
+            hashed.append(str(self))
+            return str.__hash__(self)
+
+    a, b = s.Alphabet(tuple(map(Name, "xyz"))), s.Alphabet(("x", "y", "z"))
+    hashed.clear()  # the distinctness check of the names hashes each once
+    assert a == b and hash(a) == hash(b) and hash(a) == hash(tuple("xyz"))
+    assert hashed == ["x", "y", "z"]
+    assert hash(a) == hash(b) and hash(s.single(a, 1)) == hash(s.single(b, 1))
+    assert hashed == ["x", "y", "z"]
+    assert a != s.Alphabet(("x", "y")) and hash(a) != hash(s.Alphabet(("y", "x", "z")))
+
+
+def test_a_pickled_alphabet_keeps_only_its_names():
+    # Another process hashes str differently, so a cached hash must not travel.
+    a = s.Alphabet(("x", "y"))
+    hash(s.parse("x y^-1", a))
+    b = pickle.loads(pickle.dumps(a))
+    assert b == a and vars(b) == {"names": ("x", "y")}
 
 
 def test_parse_folds_exponents_before_building_letters():
