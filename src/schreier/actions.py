@@ -16,12 +16,10 @@ __all__ = [
     "Permutation",
     "evaluate",
     "format_action_text",
-    "is_transitive",
     "orbit",
     "parse_action_text",
     "perm_of_word",
     "read_action_file",
-    "write_action_file",
 ]
 
 
@@ -130,22 +128,15 @@ def evaluate(act: FiniteAction, point: int, w: Word) -> int:
 
 def perm_of_word(act: FiniteAction, w: Word) -> Permutation:
     """The permutation a word induces on all points at once: |w| - 1 gathers from its first letter's images."""
-    return _perm(_images(act, None if w.codes else range(act.degree), w))
-
-
-def _images(act: FiniteAction, points, w: Word) -> tuple[int, ...]:
-    """The images of a sequence of points under a word, one gather per letter; with points None, of all points
-    under a nonempty word, gathered from its first letter's image tuple."""
     if w.alphabet is not act.alphabet and w.alphabet != act.alphabet:
         raise ValueError("alphabet mismatch")
     steps, codes = act._steps, w.codes
-    if points is None:
-        images, codes = steps[ord(codes[0])], codes[1:]
-    else:
-        images = tuple(points)
-    for code in map(ord, codes):
+    if not codes:
+        return Permutation.identity(act.degree)
+    images = steps[ord(codes[0])]
+    for code in map(ord, codes[1:]):
         images = _gather(steps[code], images)
-    return images
+    return _perm(images)
 
 
 def _bfs(act: FiniteAction, base: int) -> tuple[list[int], dict[int, int], tuple[list[int], list[int], list[int]]]:
@@ -179,10 +170,6 @@ def orbit(act: FiniteAction, base: int) -> list[int]:
     if not 0 <= base < act.degree:
         raise ValueError(f"point {base} out of range for degree {act.degree}")
     return _bfs(act, base)[0]
-
-
-def is_transitive(act: FiniteAction) -> bool:
-    return len(orbit(act, 0)) == act.degree
 
 
 def parse_action_text(text: str) -> FiniteAction:
@@ -262,7 +249,3 @@ def read_action_file(path) -> FiniteAction:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_action_text(fh.read())
 
-
-def write_action_file(path, act: FiniteAction) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_action_text(act))

@@ -19,7 +19,6 @@ __all__ = [
     "SchreierBasis",
     "compute_basis",
     "degenerate_count",
-    "degenerate_pair_of_rep",
 ]
 
 _NOT_SCHREIER = "not a Schreier transversal of this table"
@@ -78,7 +77,9 @@ class SchreierBasis:
     ``index`` maps every (coset, generator) pair to the position of its
     basis element, or to None when the pair is degenerate.  It is
     determined by ``elements``, so equality and hashing leave it out.
-    One from ``compute_basis`` also keeps the elements' shared ``_source``.
+    ``compute_basis`` also keeps the elements' shared ``_source``, without
+    which (built by hand, or by ``dataclasses.replace``) ``rewrite``,
+    ``expand``, ``restrict_to_h`` and ``induce`` raise ValueError.
     """
 
     alphabet: Alphabet
@@ -117,20 +118,22 @@ def degenerate_count(basis: SchreierBasis) -> int:
     return sum(1 for v in basis.index.values() if v is None)
 
 
-def degenerate_pair_of_rep(table: CosetTable, transversal: SchreierTransversal, c: int) -> tuple[int, int]:
-    """The tree edge into coset c: its degenerate (coset, generator) pair.
+def _source(basis: SchreierBasis, table: CosetTable | None = None):
+    """The (alphabet, transversal, steps) that ``compute_basis`` stored, else ValueError.
 
-    The edge is (parent, x) for a last letter x, and (c, x) for x^-1.
+    With a table, also ValueError unless the basis was computed for it: its
+    image tuples are the stored steps, compared by identity in O(1), else by value.
     """
-    if c == 0:
-        raise ValueError("coset 0 has the empty representative")
-    if not 0 < c < table.num_cosets:
-        raise ValueError(f"coset {c} out of range for {table.num_cosets} cosets")
-    return _tree_edges(table, transversal, range(c, c + 1))[0]
+    source = basis.__dict__.get("_source")
+    if source is None:
+        raise ValueError("basis was not made by compute_basis")
+    if table is not None and table.graph._steps is not source[2] and table.graph._steps != source[2]:
+        raise ValueError("basis was computed for another coset table")
+    return source
 
 
-def _tree_edges(table: CosetTable, transversal: SchreierTransversal, cosets=None) -> list[tuple[int, int]]:
-    """The degenerate pairs of the tree edges into the range ``cosets``, by default 1..m-1.
+def _tree_edges(table: CosetTable, transversal: SchreierTransversal) -> list[tuple[int, int]]:
+    """The degenerate pairs of the tree edges into cosets 1..m-1.
 
     Checks the Schreier vector against the table, else InvariantError: its
     size and an empty reps[0], then per coset c, in O(1), a parent of smaller
@@ -140,7 +143,7 @@ def _tree_edges(table: CosetTable, transversal: SchreierTransversal, cosets=None
     parents, codes, depths = transversal._tree
     if len(parents) != table.num_cosets or depths[0]:
         raise InvariantError(_NOT_SCHREIER)
-    cosets = range(1, table.num_cosets) if cosets is None else cosets
+    cosets = range(1, table.num_cosets)
     alphabet = table.action.alphabet
     if transversal._alphabet is not alphabet and transversal._alphabet != alphabet:
         raise ValueError("alphabet mismatch")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import actions, words
 from .actions import ActionParseError, FiniteAction, Permutation
-from .basis import InvariantError, SchreierBasis, _tree_edges
+from .basis import InvariantError, SchreierBasis, _source, _tree_edges
 from .cosets import CosetTable, SchreierTransversal, coset_of
 from .rewrite import rewrite
 from .words import Word
@@ -63,7 +63,8 @@ class InducedAction:
 
 
 def induce(sigma: HAction, table: CosetTable, transversal: SchreierTransversal, basis: SchreierBasis) -> InducedAction:
-    """Build the induced action of the whole group from an H-action on the basis."""
+    """Build the induced action of the whole group from an H-action on the basis of this table."""
+    _source(basis, table)
     if len(sigma.perms) != len(basis.elements):
         raise ValueError(
             f"H-action has {len(sigma.perms)} permutations, basis has {len(basis.elements)} elements"
@@ -89,7 +90,7 @@ def _fibers(ind: InducedAction, transversal: SchreierTransversal) -> list[tuple[
 
     Parents first, by depth, each fiber is its parent's moved by one letter:
     O(m·d) in all.  A coset whose parent is not a rep (reps given as words
-    that are not prefix-closed) walks its own rep.
+    that are not prefix-closed) evaluates its own rep on each point.
     """
     act = ind.base
     if transversal._alphabet is not act.alphabet and transversal._alphabet != act.alphabet:
@@ -101,7 +102,7 @@ def _fibers(ind: InducedAction, transversal: SchreierTransversal) -> list[tuple[
         if not depths[c]:
             continue
         if parents[c] is None:
-            fibers[c] = actions._images(act, fibers[c], transversal.reps[c])
+            fibers[c] = tuple(actions.evaluate(act, a, transversal.reps[c]) for a in fibers[c])
         else:
             fibers[c] = words._gather(steps[codes[c]], fibers[parents[c]])
     return fibers
@@ -117,26 +118,22 @@ def restrict_to_h(ind: InducedAction, basis: SchreierBasis) -> tuple[Permutation
     """The action each basis word induces on A over coset 0.
 
     Equals the defining H-action exactly; that identity is the proof
-    obligation checked by the test suite.  On a basis from ``compute_basis``
-    the word rep(c) x rep(cx)^-1 is read off its transversal's fibers, with
-    no word built: it stays over coset 0 iff x moves fiber c into fiber cx.
+    obligation checked by the test suite.  The basis must come from
+    ``compute_basis``, else ValueError: the word rep(c) x rep(cx)^-1 is read
+    off its transversal's fibers, with no word built, and stays over coset 0
+    iff x moves fiber c into fiber cx.
     """
     d = ind.h_degree
-    source = basis.__dict__.get("_source")
-    if source is None:  # a hand-built basis: each word moves coset 0's points, to be found over coset 0
-        home = dict(zip(range(d), range(d)))
-        moves = ((home, actions._images(ind.base, range(d), e.word)) for e in basis.elements)
-    else:
-        _, tr, table_steps = source
-        fibers = _fibers(ind, tr)
-        inverses = [dict(zip(fiber, range(d))) for fiber in fibers]
-        steps = ind.base._steps
-        moves = ((inverses[table_steps[2 * e.gen][e.coset]], words._gather(steps[2 * e.gen], fibers[e.coset]))
-                 for e in basis.elements)
+    _, tr, table_steps = _source(basis)
+    fibers = _fibers(ind, tr)
+    inverses = [dict(zip(fiber, range(d))) for fiber in fibers]
+    steps = ind.base._steps
     perms = []
-    for inverse, points in moves:
+    for e in basis.elements:
+        code = 2 * e.gen
         try:
-            perms.append(actions._perm(words._gather(inverse, points)))
+            perms.append(actions._perm(words._gather(inverses[table_steps[code][e.coset]],
+                                                     words._gather(steps[code], fibers[e.coset]))))
         except KeyError:
             raise InvariantError("basis word moved the coset coordinate") from None
     return tuple(perms)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import words
-from .basis import SchreierBasis
+from .basis import SchreierBasis, _source
 from .cosets import CosetTable, SchreierTransversal, _tree_path, coset_of
 from .words import Word
 
@@ -69,8 +69,8 @@ def rewrite(table: CosetTable, transversal: SchreierTransversal, basis: Schreier
     """
     if w.alphabet != table.action.alphabet:
         raise ValueError("alphabet mismatch")
-    steps = table.graph._steps
-    emits = _tables(basis, steps)[0]
+    steps = _source(basis, table)[2]
+    emits = _tables(basis)[0]
     factors: list[int] = []
     c = 0
     for code in map(ord, w.codes):
@@ -85,49 +85,42 @@ def rewrite(table: CosetTable, transversal: SchreierTransversal, basis: Schreier
     return bw
 
 
-def _tables(basis: SchreierBasis, steps: tuple[tuple[int, ...], ...]):
+def _tables(basis: SchreierBasis):
     """Per letter code, by coset, the factor it emits there: k for (k, 1), ~k for (k, -1), or None
-    (x^-1 at coset c undoes the pair (c x^-1, x)); and, on a basis from ``compute_basis``, per element
-    its edge (from coset, code, to coset).  Built in O(m·n) on first use, kept for these table images."""
+    (x^-1 at coset c undoes the pair (c x^-1, x)); and per element its edge (from coset, code, to coset).
+    Built in O(m·n) on first use, from the steps of the basis's own table, and kept."""
     kept = basis.__dict__.get("_tables")
-    if kept is None or kept[0] is not steps:
+    if kept is None:
+        steps = _source(basis)[2]
         emits = []
         for code, images in enumerate(steps):
             ks = [basis.index[(c, code >> 1)] for c in range(len(images))]
             emits.append(tuple(ks) if not code & 1 else tuple(None if ks[d] is None else ~ks[d] for d in images))
-        elements = basis.elements if "_source" in basis.__dict__ else ()  # a hand-built one's need not fit the table
-        edges = tuple((e.coset, 2 * e.gen, steps[2 * e.gen][e.coset]) for e in elements)
-        kept = (steps, tuple(emits), edges)
+        edges = tuple((e.coset, 2 * e.gen, steps[2 * e.gen][e.coset]) for e in basis.elements)
+        kept = (tuple(emits), edges)
         object.__setattr__(basis, "_tables", kept)
-    return kept[1], kept[2]
+    return kept
 
 
 def expand(basis: SchreierBasis, bw: BWord | Iterable[tuple[int, int]]) -> Word:
     """Multiply out a word over the basis and reduce it onto one stack.
 
     Accepts a BWord or any (index, sign) sequence with signs +1 or -1;
-    unreduced sequences are fine.  On a basis from ``compute_basis`` this
-    walks the Schreier graph, in O(k + |result|) for k reduced factors: the
-    factor on the pair (c, x) is the tree path to c, then x (for sign -1,
-    the path to cx, then x^-1), and a last path leads back to coset 0.  On
-    a hand-built basis each factor's word goes on, in O(|b1| + ... + |bk|).
+    unreduced sequences are fine.  The basis must come from
+    ``compute_basis``, else ValueError.  This walks its Schreier graph, in
+    O(k + |result|) for k reduced factors: the factor on the pair (c, x) is
+    the tree path to c, then x (for sign -1, the path to cx, then x^-1),
+    and a last path leads back to coset 0.
     """
     factors = bw.factors if isinstance(bw, BWord) else bw
-    elements, alphabet = basis.elements, basis.alphabet
-    _, tr, steps = basis.__dict__.get("_source", (None, None, None))
-    if tr is not None:
-        tree, edges = tr._tree, _tables(basis, steps)[1]
+    tree, edges = _source(basis)[1]._tree, _tables(basis)[1]
     stack: list[int] = []
     c = 0
     for k, s in factors:
-        if not 0 <= k < len(elements):
+        if not 0 <= k < len(edges):
             raise ValueError(f"basis index {k} out of range")
         if s not in (1, -1):
             raise ValueError(f"factor sign must be +1 or -1, got {s}")
-        if tr is None:  # a hand-built basis: push the factor's word, inverted for s = -1
-            word = elements[k].word
-            _push(stack, [*map(ord, (word if s > 0 else words.invert(word)).codes)])
-            continue
         a, code, b = edges[k]  # the edge from coset a
         if s == -1:
             a, b, code = b, a, code + 1
@@ -138,8 +131,8 @@ def expand(basis: SchreierBasis, bw: BWord | Iterable[tuple[int, int]]) -> Word:
         else:
             stack.append(code)
         c = b
-    _push(stack, _tree_path(tree, c, 0) if tr is not None else [])
-    return words._spell(alphabet, stack)
+    _push(stack, _tree_path(tree, c, 0))
+    return words._spell(basis.alphabet, stack)
 
 
 def _push(stack: list[int], codes: list[int]) -> None:

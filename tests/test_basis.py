@@ -5,6 +5,7 @@ import pytest
 
 import schreier as s
 from helpers import count_built_words, make_action, random_transitive_perms
+from schreier.basis import _tree_edges
 
 CYCLE3 = make_action(("x", "y"), [[1, 2, 0], [0, 1, 2]])
 SWAP = make_action(("x", "y"), [[1, 0], [0, 1]])
@@ -101,14 +102,14 @@ def test_element_word_construction():
         assert e.word == s.concat(s.concat(t, s.single(CYCLE3.alphabet, e.gen)), s.invert(u))
 
 
-def test_degenerate_pair_of_rep_bijection():
+def test_tree_edges_are_the_degenerate_pairs():
     rng = random.Random(59)
     for _ in range(60):
         n, m = rng.randint(1, 3), rng.randint(2, 15)
         act = make_action(tuple("xyz"[:n]), random_transitive_perms(rng, n, m))
         table, tr = s.build_table(act, 0)
         basis = s.compute_basis(table, tr)
-        assigned = [s.degenerate_pair_of_rep(table, tr, c) for c in range(1, m)]
+        assigned = _tree_edges(table, tr)  # the tree edge into each coset 1..m-1
         assert len(set(assigned)) == m - 1
         assert set(assigned) == set(degenerate_pairs(basis))
 
@@ -169,21 +170,10 @@ def test_compute_basis_and_induce_reject_a_first_rep_over_another_alphabet():
         s.induce(sigma, table, foreign, basis)
 
 
-def test_degenerate_pair_of_rep_rejects_identity_rep():
-    table, tr = s.build_table(CYCLE3, 0)
-    with pytest.raises(ValueError, match="empty representative"):
-        s.degenerate_pair_of_rep(table, tr, 0)
-    # Out-of-range cosets, on the tree and on the same reps given as words.
-    for transversal in (tr, s.SchreierTransversal(tuple(tr.reps))):
-        for c in (-1, 3):
-            with pytest.raises(ValueError, match=f"coset {c} out of range for 3 cosets"):
-                s.degenerate_pair_of_rep(table, transversal, c)
-
-
-def test_degenerate_pair_of_rep_rejects_a_transversal_of_another_size():
+def test_compute_basis_rejects_a_transversal_of_another_size():
     table, tr = s.build_table(CYCLE3, 0)
     with pytest.raises(s.InvariantError, match="not a Schreier transversal"):
-        s.degenerate_pair_of_rep(table, s.SchreierTransversal(tr.reps[:2]), 2)
+        s.compute_basis(table, s.SchreierTransversal(tr.reps[:2]))
 
 
 def test_basis_element_fields_leave_out_its_source():
@@ -220,6 +210,64 @@ def test_equal_bases_hash_equal():
     assert second.index[(1, 0)] == 1
 
 
+def _x_cycle(m, step=1, y=lambda i: i):
+    """x adds step mod m; y fixes every point, unless given."""
+    return make_action(("x", "y"), [[(i + step) % m for i in range(m)], [y(i) % m for i in range(m)]])
+
+
+_WITHOUT_SOURCE = {
+    "by hand": lambda b: s.SchreierBasis(b.alphabet, b.num_cosets,
+                                         tuple(s.BasisElement(e.coset, e.gen, e.word) for e in b.elements), b.index),
+    "replace": dataclasses.replace,
+}
+
+
+@pytest.mark.parametrize("copy", _WITHOUT_SOURCE.values(), ids=list(_WITHOUT_SOURCE))
+def test_a_basis_not_made_by_compute_basis_is_refused(copy):
+    table, tr = s.build_table(CYCLE3, 0)
+    basis = s.compute_basis(table, tr)
+    sigma = s.HAction(2, (s.Permutation((1, 0)),) * len(basis.elements))
+    ind = s.induce(sigma, table, tr, basis)
+    other = copy(basis)
+    assert other == basis  # equal fields: only what compute_basis stored is missing
+    h = CYCLE3.alphabet.word("x y x^-1")
+    calls = [lambda: s.rewrite(table, tr, other, h), lambda: s.expand(other, [(2, 1)]), lambda: s.expand(other, []),
+             lambda: s.restrict_to_h(ind, other), lambda: s.induce(sigma, table, tr, other)]
+    for call in calls:
+        with pytest.raises(ValueError, match="basis was not made by compute_basis"):
+            call()
+
+
+@pytest.mark.parametrize("table_act,basis_act", [
+    (_x_cycle(5), _x_cycle(3)),
+    (_x_cycle(3), _x_cycle(5)),
+    (_x_cycle(5), _x_cycle(5, y=lambda i: -i)),  # as many cosets, another graph: factors that expand to another word
+], ids=["degree 5 on 3", "degree 3 on 5", "y fixed on y reflecting"])
+def test_rewrite_and_induce_refuse_a_basis_of_another_table(table_act, basis_act):
+    table, tr = s.build_table(table_act, 0)
+    basis = s.compute_basis(*s.build_table(basis_act, 0))
+    sigma = s.HAction(1, (s.Permutation((0,)),) * len(basis.elements))
+    h = table_act.alphabet.word("x y x^-1")
+    with pytest.raises(ValueError, match="basis was computed for another coset table"):
+        s.rewrite(table, tr, basis, h)
+    with pytest.raises(ValueError, match="basis was computed for another coset table"):
+        s.induce(sigma, table, tr, basis)
+
+
+@pytest.mark.parametrize("step", [1, 2])
+def test_a_basis_takes_an_equal_table_that_is_another_object(step):
+    # BFS numbers the cosets of x -> i + 2 as it does those of x -> i + 1, so both give the same coset table.
+    table, tr = s.build_table(_x_cycle(5), 0)
+    basis = s.compute_basis(*s.build_table(_x_cycle(5, step), 0))
+    twin, twin_tr = s.build_table(_x_cycle(5), 0)
+    assert twin.graph._steps == table.graph._steps and twin.graph._steps is not table.graph._steps
+    h = table.action.alphabet.word("x^2 y x^-2")
+    sigma = s.HAction(2, (s.Permutation((1, 0)),) * len(basis.elements))
+    assert s.rewrite(twin, twin_tr, basis, h) == s.rewrite(table, tr, basis, h) == s.BWord(((4, 1),))
+    assert s.expand(basis, s.BWord(((4, 1),))) == h
+    assert s.induce(sigma, twin, twin_tr, basis) == s.induce(sigma, table, tr, basis)
+
+
 def _dihedral(m):
     return make_action(("x", "y"), [[(i + 1) % m for i in range(m)], [(-i) % m for i in range(m)]])
 
@@ -237,7 +285,6 @@ def test_set_up_rewrite_and_induce_build_no_word(monkeypatch):
     bw = s.rewrite(table, tr, basis, w)
     sigma = s.HAction(3, (s.Permutation((1, 2, 0)),) * len(basis.elements))
     ind = s.induce(sigma, table, tr, basis)
-    assert s.degenerate_pair_of_rep(table, tr, table.num_cosets - 1) in basis.index
     assert built == []
     assert len(basis.elements) == 2001 and len(bw) == 1 and ind.base.degree == 6000
 

@@ -114,7 +114,8 @@ def test_listings_build_no_word(capsys, monkeypatch, tmp_path, command, lines):
     # The reps of this dihedral action reach m/2 letters; the listings spell them from the tree.
     m = 40
     path = tmp_path / "dihedral.txt"
-    s.write_action_file(path, make_action(("x", "y"), [[(i + 1) % m for i in range(m)], [(-i) % m for i in range(m)]]))
+    act = make_action(("x", "y"), [[(i + 1) % m for i in range(m)], [(-i) % m for i in range(m)]])
+    path.write_text(s.format_action_text(act), encoding="utf-8")
     trees = []
 
     def recording(act, base):

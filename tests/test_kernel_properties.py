@@ -414,7 +414,8 @@ def _listings(act, base) -> dict[tuple[str, str], str]:
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "act.txt")
-        s.write_action_file(path, act)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(s.format_action_text(act))
         for command in ("transversal", "basis"):
             for fmt in ("plain", "structured"):
                 with contextlib.redirect_stdout(io.StringIO()) as buf:
@@ -567,17 +568,13 @@ def test_restrict_to_h_and_check_claim_agree_with_walking_the_words(case, d, rng
     w = s.reduce(table.action.alphabet, raw)
     # Reps that are not prefix-closed: a coset whose parent is not a rep walks its own word.
     prefixed = s.SchreierTransversal(tuple(s.concat(w, t) for t in tr.reps))
-    by_hand = s.SchreierBasis(basis.alphabet, basis.num_cosets,
-                              tuple(s.BasisElement(e.coset, e.gen, e.word) for e in basis.elements), basis.index)
     for ind in _tampered_inductions(s.induce(sigma, table, tr, basis), rng):
         p = s.perm_of_word(ind.base, w)
         assert p.images == tuple(s.evaluate(ind.base, q, w) for q in range(ind.base.degree))
         assert p.then(p) == s.perm_of_word(ind.base, s.concat(w, w))
         for transversal in (tr, prefixed):
             assert _outcome(lambda: s.check_claim(ind, transversal)) == _outcome(lambda: claim_by_words(ind, transversal))
-        restricted = _outcome(lambda: restrict_by_words(ind, basis))
-        assert _outcome(lambda: s.restrict_to_h(ind, basis)) == restricted
-        assert _outcome(lambda: s.restrict_to_h(ind, by_hand)) == restricted
+        assert _outcome(lambda: s.restrict_to_h(ind, basis)) == _outcome(lambda: restrict_by_words(ind, basis))
 
 
 def _is_bijection(perm: s.Permutation) -> bool:
@@ -641,14 +638,10 @@ def test_expand_and_rewrite_walk_the_schreier_graph(case, data):
     basis_words = [pairs_of_word(e.word) for e in basis.elements]
     assert pairs_of_word(got) == expand_pairs(basis_words, factors)
     assert _revalidates(got)
-    by_hand = s.SchreierBasis(basis.alphabet, basis.num_cosets,
-                              tuple(s.BasisElement(e.coset, e.gen, e.word) for e in basis.elements), basis.index)
-    assert s.expand(by_hand, factors) == got
     bw = s.rewrite(table, tr, basis, got)
     assert s.BWord(bw.factors) == bw
     reps = [pairs_of_word(r) for r in tr.reps]
     assert bw.factors == rewrite_by_words(perms, table.basepoint, reps, basis_words, pairs_of_word(got))
-    assert s.rewrite(table, tr, by_hand, got) == bw
 
 
 # A 5-cycle x, searched last in, first out: the rep x^-2 of point 3 (coset 4) is the parent of the rep x^-3

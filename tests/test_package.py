@@ -32,3 +32,17 @@ def test_star_import_binds_exactly_the_exported_names():
     exec("from schreier import *", namespace)
     namespace.pop("__builtins__")
     assert set(namespace) == set(schreier.__all__)
+
+
+def test_public_surface_is_pinned():
+    # Adding or removing a public name must show up as a change to this list.
+    assert sorted(schreier.__all__) == [
+        "ActionParseError", "Alphabet", "AlphabetTooWideError", "BWord", "BasisElement", "CheckResult",
+        "CosetTable", "FiniteAction", "HAction", "InducedAction", "InvariantError", "Letter", "NotInSubgroupError",
+        "Permutation", "SchreierBasis", "SchreierTransversal", "Word", "WordParseError",
+        "build_table", "check_claim", "compute_basis", "concat", "contains", "coset_of", "degenerate_count",
+        "evaluate", "expand", "format_action_text", "format_word", "haction_from_action", "identity", "induce",
+        "invert", "iter_reduced_words", "orbit", "parse", "parse_action_text", "perm_of_word", "prefixes",
+        "read_action_file", "reduce", "rep", "restrict_to_h", "rewrite", "run_checks", "single",
+        "tensor_action_generic",
+    ]
