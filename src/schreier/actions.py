@@ -7,6 +7,8 @@ generator assignment to the whole group.
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 
 from .words import Alphabet, Letter, Word, _gather
 
@@ -177,8 +179,37 @@ def parse_action_text(text: str) -> FiniteAction:
 
     ``degree m``, then ``generators name1 name2 ...``, then one
     ``perm name i0 i1 ... i(m-1)`` line per generator.  Blank lines and
-    ``#`` comments are ignored.
+    ``#`` comments are ignored.  A valid file is read with C calls per line;
+    a faulty one is re-read row by row, for the error text of its first fault.
     """
+    return _parse_valid(text) or _parse_rows(text)
+
+
+def _parse_valid(text: str) -> FiniteAction | None:
+    """A valid file's action, from a split per line, one ``int`` pass and a ``sorted`` per row; else None."""
+    lines = [line.split("#", 1)[0] for line in text.splitlines()] if "#" in text else text.splitlines()
+    try:  # ValueError: too few rows or fields, or a degree, a name or an image that the format refuses
+        (head, degree), (gens, *names), *rows = [fields for fields in map(str.split, lines) if fields]
+        degree, alphabet = int(degree), Alphabet(tuple(names))
+        flat = tuple(map(int, chain.from_iterable(map(itemgetter(slice(2, None)), rows))))
+    except ValueError:
+        return None
+    if (head, gens) != ("degree", "generators") or not 1 <= degree <= MAX_DEGREE:
+        return None
+    if set(map(len, rows)) - {degree + 2} or set(map(itemgetter(0), rows)) - {"perm"}:
+        return None
+    images = [flat[i:i + degree] for i in range(0, len(flat), degree)]
+    perms = dict(zip(map(itemgetter(1), rows), map(_perm, images)))
+    bijection = list(range(degree)).__eq__
+    if len(perms) != len(rows) or perms.keys() != set(alphabet.names) or not all(map(bijection, map(sorted, images))):
+        return None
+    act = object.__new__(FiniteAction)  # each perm has the degree, and the alphabet its names: skip the checks
+    act.__dict__.update(alphabet=alphabet, degree=degree, gen_perms=_gather(perms, alphabet.names))
+    return act
+
+
+def _parse_rows(text: str) -> FiniteAction:
+    """Row by row, with every check of the format: the one place its error texts are made."""
     rows: list[tuple[int, list[str]]] = []
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()

@@ -7,7 +7,9 @@ plus one tree edge.  The m - 1 tree edges are exactly the pairs that
 collapse to 1; the other pairs give a free basis of 1 + m(n - 1) words.
 """
 
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import filterfalse, product, repeat
 
 from . import words
 from .cosets import CosetTable, SchreierTransversal, _tree_path
@@ -39,10 +41,10 @@ class _Sourced:
 class BasisElement(_Sourced):
     """One basis word t x (rep(tx))^-1 with its defining pair.
 
-    ``compute_basis`` leaves the word unbuilt and ``_source`` set to the
-    alphabet, the transversal and the table's image tuple per signed letter:
-    the word is spelled out on first read, from t and rep(tx) or their tree
-    paths, in O(|t| + |rep(tx)|), and kept in its slot.
+    ``compute_basis`` leaves the word unbuilt, None in its slot, and
+    ``_source`` set to the alphabet, the transversal and the table's image
+    tuple per signed letter: the word is spelled out on first read, from t
+    and rep(tx) or their tree paths, in O(|t| + |rep(tx)|), and kept in its slot.
     """
 
     coset: int
@@ -51,9 +53,8 @@ class BasisElement(_Sourced):
 
 
 def _read_word(e: BasisElement, get=BasisElement.word.__get__, put=BasisElement.word.__set__) -> Word:
-    try:
-        return get(e)
-    except AttributeError:  # unbuilt: join t, x and rep(tx)^-1, and keep the word
+    word = get(e)
+    if word is None:  # unbuilt: join t, x and rep(tx)^-1, and keep the word
         alphabet, tr, steps = e._source
         code = 2 * e.gen
         c, d = e.coset, steps[code][e.coset]
@@ -63,7 +64,7 @@ def _read_word(e: BasisElement, get=BasisElement.word.__get__, put=BasisElement.
         else:
             word = words._spell(alphabet, _tree_path(tr._tree, 0, c) + [code] + _tree_path(tr._tree, d, 0))
         put(e, word)
-        return word
+    return word
 
 
 # Set after the class is made, so ``word`` stays a field and the element keeps its slots.
@@ -98,16 +99,16 @@ def compute_basis(table: CosetTable, transversal: SchreierTransversal) -> Schrei
     """
     alphabet = table.action.alphabet
     tree = set(_tree_edges(table, transversal))
-    pairs = [(c, g) for c in range(table.num_cosets) for g in range(len(alphabet))]
-    free = [pair for pair in pairs if pair not in tree]
+    pairs = list(product(range(table.num_cosets), range(len(alphabet))))  # coset-major, as ``_columns`` reads them
+    free = list(filterfalse(tree.__contains__, pairs))
     index: dict[tuple[int, int], int | None] = dict.fromkeys(pairs)
     index.update(zip(free, range(len(free))))
     source = (alphabet, transversal, table.graph._steps)
-    elements = tuple(object.__new__(BasisElement) for _ in free)
-    for e, (c, g) in zip(elements, free):
-        object.__setattr__(e, "coset", c)
-        object.__setattr__(e, "gen", g)
-        object.__setattr__(e, "_source", source)
+    elements = tuple(map(object.__new__, repeat(BasisElement, len(free))))
+    cosets, gens = zip(*free) if free else ((), ())
+    for put, values in ((BasisElement.coset.__set__, cosets), (BasisElement.gen.__set__, gens),
+                        (BasisElement.word.fset, repeat(None)), (_Sourced._source.__set__, repeat(source))):
+        deque(map(put, elements, values), 0)  # the slots' own setters, one C call per field: no frozen check
     basis = SchreierBasis(alphabet, table.num_cosets, elements, index)
     object.__setattr__(basis, "_source", source)
     return basis
@@ -115,7 +116,13 @@ def compute_basis(table: CosetTable, transversal: SchreierTransversal) -> Schrei
 
 def degenerate_count(basis: SchreierBasis) -> int:
     """Number of (coset, generator) pairs whose word collapsed to 1."""
-    return sum(1 for v in basis.index.values() if v is None)
+    return [*basis.index.values()].count(None)
+
+
+def _columns(basis: SchreierBasis) -> list[list[int | None]]:
+    """Per generator, by coset, its pair's index: a slice of ``index``, which ``compute_basis`` fills coset-major."""
+    ks = [*basis.index.values()]
+    return [ks[g::len(basis.alphabet)] for g in range(len(basis.alphabet))]
 
 
 def _source(basis: SchreierBasis, table: CosetTable | None = None):

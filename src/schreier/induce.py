@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import actions, words
 from .actions import ActionParseError, FiniteAction, Permutation
-from .basis import InvariantError, SchreierBasis, _source, _tree_edges
+from .basis import InvariantError, SchreierBasis, _columns, _source, _tree_edges
 from .cosets import CosetTable, SchreierTransversal, coset_of
 from .rewrite import rewrite
 from .words import Word
@@ -77,10 +77,10 @@ def induce(sigma: HAction, table: CosetTable, transversal: SchreierTransversal, 
     if any(basis.index[pair] is not None for pair in _tree_edges(table, transversal)):
         raise InvariantError("transversal words must move cosets without touching A")
     # Point a + d*c goes to sigma_k(a) + d*c2, or to a + d*c2 when degenerate.
-    moves = [p.images for p in sigma.perms]
+    moves = dict([(None, range(d)), *enumerate(p.images for p in sigma.perms)])
     gen_perms = []
-    for g, perm in enumerate(table.graph.gen_perms):
-        rows = [range(d) if k is None else moves[k] for k in (basis.index[(c, g)] for c in range(m))]
+    for perm, ks in zip(table.graph.gen_perms, _columns(basis)):
+        rows = words._gather(moves, ks)
         gen_perms.append(actions._perm(tuple([a2 + d * c2 for row, c2 in zip(rows, perm.images) for a2 in row])))
     return InducedAction(FiniteAction(table.action.alphabet, d * m, tuple(gen_perms)), d, m)
 
@@ -91,11 +91,14 @@ def _fibers(ind: InducedAction, transversal: SchreierTransversal) -> list[tuple[
     Parents first, by depth, each fiber is its parent's moved by one letter:
     O(m·d) in all.  A coset whose parent is not a rep (reps given as words
     that are not prefix-closed) evaluates its own rep on each point.
+    ValueError unless the transversal has the action's alphabet and cosets.
     """
     act = ind.base
     if transversal._alphabet is not act.alphabet and transversal._alphabet != act.alphabet:
         raise ValueError("alphabet mismatch")
     parents, codes, depths = transversal._tree
+    if len(parents) != ind.num_cosets:
+        raise ValueError(f"transversal has {len(parents)} cosets, the induced action {ind.num_cosets}")
     steps = act._steps
     fibers = [tuple(range(ind.h_degree))] * len(parents)  # the empty rep's
     for c in sorted(range(len(parents)), key=depths.__getitem__):
@@ -170,8 +173,8 @@ def tensor_action_generic(
 def haction_from_action(file_act: FiniteAction, basis: SchreierBasis) -> HAction:
     """Interpret an action file whose generators are b0..b{k-1} as an H-action."""
     expected = [f"b{k}" for k in range(len(basis.elements))]
-    if sorted(file_act.alphabet.names) != sorted(expected):
+    if file_act.alphabet._positions.keys() != set(expected):  # both sides distinct: equal sets, equal sorted lists
         want = f"generators must be exactly b0..b{len(expected) - 1}" if expected else "must have no generators"
         raise ActionParseError(f"H-action {want}, got {list(file_act.alphabet.names)}")
-    perms = tuple(file_act.gen_perms[file_act.alphabet.index(name)] for name in expected)
+    perms = words._gather(file_act.gen_perms, words._gather(file_act.alphabet._positions, expected))
     return HAction(file_act.degree, perms)

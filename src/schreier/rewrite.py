@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import words
-from .basis import SchreierBasis, _source
+from .basis import SchreierBasis, _columns, _source
 from .cosets import CosetTable, SchreierTransversal, _tree_path, coset_of
 from .words import Word
 
@@ -93,9 +93,8 @@ def _tables(basis: SchreierBasis):
     if kept is None:
         steps = _source(basis)[2]
         emits = []
-        for code, images in enumerate(steps):
-            ks = [basis.index[(c, code >> 1)] for c in range(len(images))]
-            emits.append(tuple(ks) if not code & 1 else tuple(None if ks[d] is None else ~ks[d] for d in images))
+        for g, ks in enumerate(_columns(basis)):
+            emits += [tuple(ks), words._gather([None if k is None else ~k for k in ks], steps[2 * g + 1])]
         edges = tuple((e.coset, 2 * e.gen, steps[2 * e.gen][e.coset]) for e in basis.elements)
         kept = (tuple(emits), edges)
         object.__setattr__(basis, "_tables", kept)

@@ -15,8 +15,9 @@ import itertools
 import random
 
 import schreier.words
-from schreier import (Alphabet, FiniteAction, InvariantError, Letter, Permutation, Word, coset_of, evaluate,
-                      iter_reduced_words)
+from schreier.actions import MAX_DEGREE
+from schreier import (ActionParseError, Alphabet, FiniteAction, InvariantError, Letter, Permutation, Word, coset_of,
+                      evaluate, iter_reduced_words)
 
 Pairs = tuple[tuple[int, int], ...]
 
@@ -229,3 +230,67 @@ def count_built_words(monkeypatch) -> list:
 
     monkeypatch.setattr(schreier.words, "_word", counting)
     return built
+
+
+def parse_action_rows(text: str) -> FiniteAction:
+    """``parse_action_text`` line by line: each row read and checked in turn, so the first fault in line order raises.
+
+    The package reads a valid file in whole-table calls instead; a property
+    test compares the two on valid and on faulty files.
+    """
+    rows: list[tuple[int, list[str]]] = []
+    for lineno, rawline in enumerate(text.splitlines(), start=1):
+        line = rawline.split("#", 1)[0].strip()
+        if line:
+            rows.append((lineno, line.split()))
+    if not rows:
+        raise ActionParseError("empty action file")
+
+    lineno, fields = rows[0]
+    if len(fields) != 2 or fields[0] != "degree":
+        raise ActionParseError(f"line {lineno}: expected 'degree m'")
+    try:
+        degree = int(fields[1])
+    except ValueError:
+        raise ActionParseError(f"line {lineno}: bad degree {fields[1]!r}") from None
+    if degree < 1:
+        raise ActionParseError(f"line {lineno}: degree must be at least 1")
+    if degree > MAX_DEGREE:
+        raise ActionParseError(f"line {lineno}: degree more than the limit of {MAX_DEGREE}")
+
+    if len(rows) < 2 or rows[1][1][0] != "generators":
+        raise ActionParseError("expected a 'generators' line after the degree")
+    lineno, fields = rows[1]
+    try:
+        alphabet = Alphabet(tuple(fields[1:]))
+    except ValueError as exc:
+        raise ActionParseError(f"line {lineno}: {exc}") from None
+
+    perms: dict[str, Permutation] = {}
+    for lineno, fields in rows[2:]:
+        if fields[0] != "perm":
+            raise ActionParseError(f"line {lineno}: expected a 'perm' line, got {fields[0]!r}")
+        if len(fields) < 2:
+            raise ActionParseError(f"line {lineno}: missing generator name")
+        name = fields[1]
+        if name not in alphabet._positions:
+            raise ActionParseError(f"line {lineno}: unknown generator {name!r}")
+        if name in perms:
+            raise ActionParseError(f"line {lineno}: duplicate perm line for {name!r}")
+        if len(fields) - 2 != degree:
+            raise ActionParseError(
+                f"line {lineno}: expected {degree} images, got {len(fields) - 2}"
+            )
+        try:
+            images = tuple(int(f) for f in fields[2:])
+        except ValueError:
+            raise ActionParseError(f"line {lineno}: images must be integers") from None
+        try:
+            perms[name] = Permutation(images)
+        except ValueError as exc:
+            raise ActionParseError(f"line {lineno}: {exc}") from None
+
+    missing = [name for name in alphabet.names if name not in perms]
+    if missing:
+        raise ActionParseError(f"missing perm line for generator {missing[0]!r}")
+    return FiniteAction(alphabet, degree, tuple(perms[name] for name in alphabet.names))

@@ -129,6 +129,20 @@ def test_restrict_to_h_refuses_another_alphabet():
         s.restrict_to_h(ind, other_basis)
 
 
+def test_check_claim_and_restrict_to_h_refuse_another_coset_count():
+    # x the 5-cycle or the 3-cycle, y fixed: each induced action against the other's transversal and basis.
+    cases = []
+    for m in (5, 3):
+        table, tr, basis = setup_case(make_action(("x", "y"), [[(i + 1) % m for i in range(m)], list(range(m))]))
+        cases.append((m, s.induce(identity_sigma(basis, 2), table, tr, basis), tr, basis))
+    for (m, ind, _, _), (other_m, _, tr, basis) in (cases, cases[::-1]):
+        message = f"^transversal has {other_m} cosets, the induced action {m}$"
+        with pytest.raises(ValueError, match=message):
+            s.check_claim(ind, tr)
+        with pytest.raises(ValueError, match=message):
+            s.restrict_to_h(ind, basis)
+
+
 def test_claim_on_worked_example():
     # (a, coset 0) . x^-1 = (a, coset 2): the x edge out of coset 2 is degenerate
     table, tr, basis = setup_case(CYCLE3)

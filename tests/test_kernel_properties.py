@@ -1,7 +1,9 @@
 """Property tests: the word kernels against the oracles in helpers.py."""
 
 import contextlib
+import dataclasses
 import io
+import itertools
 import json
 import os
 import random
@@ -9,12 +11,14 @@ import tempfile
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import schreier as s
 import schreier.checks as checks
 import schreier.cli as cli
 import schreier.cosets as cosets
+from schreier.rewrite import _tables
+
 from helpers import (
     brute_factor_reduce,
     brute_reduce,
@@ -24,6 +28,7 @@ from helpers import (
     format_pairs,
     make_action,
     pairs_of_word,
+    parse_action_rows,
     random_transitive_perms,
     restrict_by_words,
     rewrite_by_words,
@@ -445,6 +450,7 @@ def _check_listings(act, base):
         assert [json.loads(line) for line in printed[command, "structured"].splitlines()] == structured[command]
 
 
+@settings(deadline=None)  # four cli.main runs an example: a loaded machine took 252 ms for one, over the 200 ms default
 @given(action_with_transversals())
 def test_listings_agree_with_format_word(case):
     _, act, base, _, _ = case
@@ -666,3 +672,116 @@ def test_schreier_vector_of_words_agrees_with_the_tree_the_texts_and_expand(case
     assert reps == [s.format_word(r) for r in tr.reps]
     assert list(basis_texts) == [s.format_word(e.word) for e in basis.elements]
     assert pairs_of_word(got) == expand_pairs([pairs_of_word(e.word) for e in basis.elements], factors)
+
+
+def _faulty_rows(draw, rows: list[list[str]], i: int) -> list[list[str]]:
+    """What stands in for row i of a valid file: none, two, or one row, with one fault of a kind that
+    ``test_parse_action_errors`` lists."""
+    row, degree, names = rows[i], int(rows[0][1]), rows[1][1:]
+    if i == 0:
+        faults = [[row[0]], [*row, "7"], ["Degree", row[1]], ["degree", "zero"], ["degree", "0"], ["degree", "-2"],
+                  ["degree", str(s.actions.MAX_DEGREE + 1)]]
+    elif i == 1:
+        faults = [["gens", *names], [*row, "2y"], [*row, *(names[:1] or ["x", "x"])], [*row, "w"]]
+    else:
+        name, images = row[1], row[2:]
+        j = draw(st.integers(0, degree - 1))
+        wrong = ["a", "1.5", "0x1", "-1", str(degree)] + ([images[j - 1]] if degree > 1 else [])
+        others = [other for other in names if other != name]
+        faults = [["prem", name, *images], ["perm"], ["perm", "q", *images], ["perm", name, *images[1:]], [*row, "0"],
+                  ["perm", name, *images[:j], draw(st.sampled_from(wrong)), *images[j + 1:]]]
+        faults += [["perm", draw(st.sampled_from(others)), *images]] if others else []
+        if draw(st.booleans()):
+            return [row, row]
+    return [] if draw(st.integers(0, 9)) == 0 else [draw(st.sampled_from(faults))]
+
+
+@st.composite
+def action_texts(draw, faults: int):
+    """An action file, valid for ``faults`` 0, else with faults on that many different lines, or empty.
+
+    Fields are joined by spaces or tabs, images written as 3, 03 or +3, perm
+    lines come in any order, and blank lines, comments and indents fall anywhere.
+    """
+    n, degree = draw(st.integers(0, 3)), draw(st.integers(1, 5))
+    names = list(draw(st.permutations(("x", "y", "z", "b0"))))[:n]
+    rows = [["degree", str(degree)], ["generators", *names]]
+    for name in draw(st.permutations(names)):
+        images = draw(st.permutations(range(degree)))
+        rows.append(["perm", name, *(draw(st.sampled_from(("{}", "0{}", "+{}"))).format(k) for k in images)])
+    groups = [[row] for row in rows]
+    if faults and draw(st.integers(0, 19)) == 0:
+        groups = []
+    elif faults:  # a fault lands on a perm line three times as often as on the degree or generators line
+        where = st.sampled_from([0, 1] + 3 * list(range(2, len(rows))))
+        for i in draw(st.lists(where, min_size=faults, max_size=faults, unique=True)):
+            groups[i] = _faulty_rows(draw, rows, i)
+    gap = st.sampled_from(("", " ", "\t", "  # a comment", "# perm x 0"))
+    lines = []
+    for row in (row for group in groups for row in group):
+        lines += draw(st.lists(gap, max_size=2))
+        sep = draw(st.sampled_from((" ", "\t", " \t ")))
+        lines.append(draw(st.sampled_from(("", " ", "\t"))) + sep.join(row) + draw(gap))
+    return draw(st.sampled_from(("\n", "\r\n", "\r"))).join(lines + draw(st.lists(gap, max_size=2)))
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except s.ActionParseError as exc:
+        return type(exc), str(exc)
+
+
+@given(action_texts(0))
+def test_parse_action_text_agrees_with_the_row_by_row_parser_on_valid_files(text):
+    act = s.parse_action_text(text)
+    assert act == parse_action_rows(text) and isinstance(act.gen_perms, tuple)
+    assert all(type(p.images) is tuple for p in act.gen_perms)
+
+
+@given(st.integers(1, 2).flatmap(action_texts))
+def test_parse_action_text_reports_the_first_fault_as_the_row_by_row_parser(text):
+    expected = _parsed(parse_action_rows, text)
+    assert isinstance(expected, tuple), "a faulty file parsed"
+    assert _parsed(s.parse_action_text, text) == expected
+
+
+@st.composite
+def actions_with_h_degrees(draw):
+    """An action with 0 to 4 generators, often not transitive, a basepoint and an H-degree."""
+    n, m = draw(st.integers(0, 4)), draw(st.integers(1, 6))
+    perms = [list(draw(st.permutations(range(m)))) for _ in range(n)]
+    act = s.FiniteAction(s.Alphabet(("x", "y", "z", "w")[:n]), m, tuple(s.Permutation(tuple(p)) for p in perms))
+    return perms, act, draw(st.integers(0, m - 1)), draw(st.integers(1, 3))
+
+
+@given(actions_with_h_degrees(), st.data())
+def test_tables_and_induce_agree_with_the_index_pair_by_pair(case, data):
+    perms, act, base, d = case
+    built = []
+    with mock.patch.object(s.words, "_word", lambda alphabet, codes: built.append(codes)):
+        table, tr = s.build_table(act, base)
+        basis = s.compute_basis(table, tr)
+        emits, edges = _tables(basis)
+        sigma = s.HAction(d, tuple(s.Permutation(tuple(data.draw(st.permutations(range(d))))) for _ in basis.elements))
+        ind = s.induce(sigma, table, tr, basis)
+    assert built == []  # compute_basis left every word unbuilt, and the tables and induce read none
+    graph, m, index = [p.images for p in table.graph.gen_perms], table.num_cosets, basis.index
+    for g, images in enumerate(graph):
+        assert emits[2 * g] == tuple(index[(c, g)] for c in range(m))
+        undone = [index[(images.index(c), g)] for c in range(m)]  # x^-1 at c undoes the pair (c x^-1, x)
+        assert emits[2 * g + 1] == tuple(None if k is None else ~k for k in undone)
+    assert edges == tuple((e.coset, 2 * e.gen, graph[e.gen][e.coset]) for e in basis.elements)
+    for g, images in enumerate(graph):
+        for c, a in itertools.product(range(m), range(d)):
+            k = index[(c, g)]
+            moved = a if k is None else sigma.perms[k](a)
+            assert ind.base.gen_perms[g](ind.encode(a, c)) == ind.encode(moved, images[c])
+    # The words, spelled out on first read through repr, asdict or the field, against brute_reduce.
+    words = [word_from_pairs(act.alphabet, w) for _, _, w in _basis_oracle(perms, table, tr)[0]]
+    for k, (e, w) in enumerate(zip(basis.elements, words, strict=True)):
+        if k % 3 == 0:
+            assert repr(e) == f"BasisElement(coset={e.coset}, gen={e.gen}, word={w!r})"
+        elif k % 3 == 1:
+            assert dataclasses.asdict(e) == {"coset": e.coset, "gen": e.gen, "word": dataclasses.asdict(w)}
+        assert e.word == w and s.BasisElement(e.coset, e.gen, w).word is w
