@@ -7,8 +7,6 @@ generator assignment to the whole group.
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from operator import itemgetter
 
 from .words import Alphabet, Letter, Word, _gather
 
@@ -18,7 +16,6 @@ __all__ = [
     "Permutation",
     "evaluate",
     "format_action_text",
-    "orbit",
     "parse_action_text",
     "perm_of_word",
     "read_action_file",
@@ -43,9 +40,7 @@ class Permutation:
         images = tuple(self.images)
         object.__setattr__(self, "images", images)
         if not images or sorted(images) != list(range(len(images))):
-            raise ValueError(
-                f"invalid permutation: {list(images)} is not a bijection of 0..{len(images) - 1}"
-            )
+            raise ValueError(_not_a_bijection(images))
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
@@ -71,6 +66,10 @@ class Permutation:
 
     def is_identity(self) -> bool:
         return self.images == tuple(range(len(self.images)))
+
+
+def _not_a_bijection(images: tuple[int, ...]) -> str:
+    return f"invalid permutation: {list(images)} is not a bijection of 0..{len(images) - 1}"
 
 
 def _perm(images: tuple[int, ...]) -> Permutation:
@@ -167,54 +166,16 @@ def _bfs(act: FiniteAction, base: int) -> tuple[list[int], dict[int, int], tuple
     return points, index, (parents, codes, depths)
 
 
-def orbit(act: FiniteAction, base: int) -> list[int]:
-    """Points reachable from base, in BFS discovery order."""
-    if not 0 <= base < act.degree:
-        raise ValueError(f"point {base} out of range for degree {act.degree}")
-    return _bfs(act, base)[0]
-
-
 def parse_action_text(text: str) -> FiniteAction:
     """Parse the line-oriented action format.
 
     ``degree m``, then ``generators name1 name2 ...``, then one
     ``perm name i0 i1 ... i(m-1)`` line per generator.  Blank lines and
-    ``#`` comments are ignored.  A valid file is read with C calls per line;
-    a faulty one is re-read row by row, for the error text of its first fault.
+    ``#`` comments are ignored.  One pass, row by row with C calls per row:
+    the first fault in line order raises.
     """
-    return _parse_valid(text) or _parse_rows(text)
-
-
-def _parse_valid(text: str) -> FiniteAction | None:
-    """A valid file's action, from a split per line, one ``int`` pass and a ``sorted`` per row; else None."""
     lines = [line.split("#", 1)[0] for line in text.splitlines()] if "#" in text else text.splitlines()
-    try:  # ValueError: too few rows or fields, or a degree, a name or an image that the format refuses
-        (head, degree), (gens, *names), *rows = [fields for fields in map(str.split, lines) if fields]
-        degree, alphabet = int(degree), Alphabet(tuple(names))
-        flat = tuple(map(int, chain.from_iterable(map(itemgetter(slice(2, None)), rows))))
-    except ValueError:
-        return None
-    if (head, gens) != ("degree", "generators") or not 1 <= degree <= MAX_DEGREE:
-        return None
-    if set(map(len, rows)) - {degree + 2} or set(map(itemgetter(0), rows)) - {"perm"}:
-        return None
-    images = [flat[i:i + degree] for i in range(0, len(flat), degree)]
-    perms = dict(zip(map(itemgetter(1), rows), map(_perm, images)))
-    bijection = list(range(degree)).__eq__
-    if len(perms) != len(rows) or perms.keys() != set(alphabet.names) or not all(map(bijection, map(sorted, images))):
-        return None
-    act = object.__new__(FiniteAction)  # each perm has the degree, and the alphabet its names: skip the checks
-    act.__dict__.update(alphabet=alphabet, degree=degree, gen_perms=_gather(perms, alphabet.names))
-    return act
-
-
-def _parse_rows(text: str) -> FiniteAction:
-    """Row by row, with every check of the format: the one place its error texts are made."""
-    rows: list[tuple[int, list[str]]] = []
-    for lineno, rawline in enumerate(text.splitlines(), start=1):
-        line = rawline.split("#", 1)[0].strip()
-        if line:
-            rows.append((lineno, line.split()))
+    rows = [(lineno, fields) for lineno, fields in enumerate(map(str.split, lines), start=1) if fields]
     if not rows:
         raise ActionParseError("empty action file")
 
@@ -238,34 +199,36 @@ def _parse_rows(text: str) -> FiniteAction:
     except ValueError as exc:
         raise ActionParseError(f"line {lineno}: {exc}") from None
 
-    perms: dict[str, Permutation] = {}
+    positions, bijection = alphabet._positions, list(range(degree))
+    images: dict[str, tuple[int, ...]] = {}
     for lineno, fields in rows[2:]:
         if fields[0] != "perm":
             raise ActionParseError(f"line {lineno}: expected a 'perm' line, got {fields[0]!r}")
         if len(fields) < 2:
             raise ActionParseError(f"line {lineno}: missing generator name")
         name = fields[1]
-        if name not in alphabet._positions:
+        if name not in positions:
             raise ActionParseError(f"line {lineno}: unknown generator {name!r}")
-        if name in perms:
+        if name in images:
             raise ActionParseError(f"line {lineno}: duplicate perm line for {name!r}")
         if len(fields) - 2 != degree:
             raise ActionParseError(
                 f"line {lineno}: expected {degree} images, got {len(fields) - 2}"
             )
         try:
-            images = tuple(int(f) for f in fields[2:])
+            row = tuple(map(int, fields[2:]))
         except ValueError:
             raise ActionParseError(f"line {lineno}: images must be integers") from None
-        try:
-            perms[name] = Permutation(images)
-        except ValueError as exc:
-            raise ActionParseError(f"line {lineno}: {exc}") from None
+        if sorted(row) != bijection:
+            raise ActionParseError(f"line {lineno}: {_not_a_bijection(row)}")
+        images[name] = row
 
-    missing = [name for name in alphabet.names if name not in perms]
+    missing = [name for name in alphabet.names if name not in images]
     if missing:
         raise ActionParseError(f"missing perm line for generator {missing[0]!r}")
-    return FiniteAction(alphabet, degree, tuple(perms[name] for name in alphabet.names))
+    act = object.__new__(FiniteAction)  # each row has the degree, and the alphabet its names: skip the checks
+    act.__dict__.update(alphabet=alphabet, degree=degree, gen_perms=tuple(map(_perm, _gather(images, alphabet.names))))
+    return act
 
 
 def format_action_text(act: FiniteAction) -> str:

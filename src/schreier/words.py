@@ -17,6 +17,7 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property, total_ordering
+from itertools import filterfalse
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -78,9 +79,9 @@ class Alphabet:
     def __post_init__(self):
         names = tuple(self.names)
         object.__setattr__(self, "names", names)
-        for name in names:
-            if not _NAME_RE.match(name):
-                raise ValueError(f"invalid generator name: {name!r}")
+        bad = next(filterfalse(_NAME_RE.match, names), None)
+        if bad is not None:
+            raise ValueError(f"invalid generator name: {bad!r}")
         if len(set(names)) != len(names):
             raise ValueError("generator names must be distinct")
 

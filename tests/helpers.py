@@ -235,8 +235,9 @@ def count_built_words(monkeypatch) -> list:
 def parse_action_rows(text: str) -> FiniteAction:
     """``parse_action_text`` line by line: each row read and checked in turn, so the first fault in line order raises.
 
-    The package reads a valid file in whole-table calls instead; a property
-    test compares the two on valid and on faulty files.
+    The package reads the same rows in one pass with C calls per row (one
+    ``int`` pass and one ``sorted`` each); property tests and a wide-file
+    test compare the two on valid and on faulty files.
     """
     rows: list[tuple[int, list[str]]] = []
     for lineno, rawline in enumerate(text.splitlines(), start=1):

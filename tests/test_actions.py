@@ -1,4 +1,5 @@
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ import schreier as s
 from helpers import (
     ev_pairs,
     make_action,
+    parse_action_rows,
     random_transitive_perms,
     random_word_pairs,
     word_from_pairs,
@@ -106,8 +108,8 @@ def test_evaluate_rejects_bad_input():
 def test_perm_of_word_and_orbit_reject_bad_input():
     with pytest.raises(ValueError, match="alphabet mismatch"):
         s.perm_of_word(CYCLE3, s.parse("x", s.Alphabet(("x",))))
-    with pytest.raises(ValueError, match="point 3 out of range for degree 3"):
-        s.orbit(CYCLE3, 3)
+    with pytest.raises(ValueError, match="basepoint 3 out of range for degree 3"):
+        s.build_table(CYCLE3, 3)
 
 
 def test_equal_alphabet_objects_are_interchangeable():
@@ -126,17 +128,21 @@ def test_equal_alphabet_objects_are_interchangeable():
     assert s.rewrite(table, tr, basis, h) == s.rewrite(table, tr, basis, s.parse("x y x^-1", CYCLE3.alphabet))
 
 
+def _orbit(act, base):
+    return s.build_table(act, base)[0].points
+
+
 def test_orbit_and_transitivity():
-    assert s.orbit(CYCLE3, 0) == [0, 1, 2]
+    assert _orbit(CYCLE3, 0) == (0, 1, 2)
     split = make_action(("x",), [[1, 0, 2]])
-    assert s.orbit(split, 2) == [2]
-    assert s.orbit(split, 0) == [0, 1]
+    assert _orbit(split, 2) == (2,)
+    assert _orbit(split, 0) == (0, 1)
 
 
 def test_orbit_needs_inverse_edges_for_order():
-    # orbit must list points in discovery order: positive step first
+    # the orbit lists points in discovery order: positive step first
     act = make_action(("x",), [[2, 0, 1]])
-    assert s.orbit(act, 0) == [0, 2, 1]
+    assert _orbit(act, 0) == (0, 2, 1)
 
 
 def test_parse_action_roundtrip():
@@ -177,6 +183,28 @@ def test_parse_action_accepts_any_perm_order():
 def test_parse_action_errors(text, message):
     with pytest.raises(s.ActionParseError, match=message):
         s.parse_action_text(text)
+
+
+def test_parse_action_reads_a_wide_file_in_one_pass():
+    # The shape of random_wide's H-action: degree 4 over 4,501 generators, so the last perm row is line 4,503.
+    rng, names = random.Random(0), [f"b{k}" for k in range(4501)]
+    rows = [f"perm {name} " + " ".join(map(str, rng.sample(range(4), 4))) for name in names]
+    head = f"degree 4\ngenerators {' '.join(names)}\n"
+    assert s.parse_action_text(head + "\n".join(rows)) == parse_action_rows(head + "\n".join(rows))
+    last = rows[-1].split()
+    faults = {  # one of each kind that test_parse_action_errors lists for a perm row
+        "expected a 'perm' line": ["prem", *last[1:]], "missing generator name": ["perm"],
+        "unknown generator": ["perm", "q", *last[2:]], "duplicate perm": ["perm", "b0", *last[2:]],
+        "expected 4 images": last[:-1], "images must be integers": [*last[:-1], "a"],
+        "invalid permutation": [*last[:-1], last[2]],
+    }
+    for kind, fault in faults.items():
+        text = head + "\n".join(rows[:-1] + [" ".join(fault)])
+        with pytest.raises(s.ActionParseError) as expected:
+            parse_action_rows(text)
+        assert str(expected.value).startswith(f"line 4503: {kind}")
+        with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+            s.parse_action_text(text)
 
 
 def test_write_read_action_file(tmp_path):

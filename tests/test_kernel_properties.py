@@ -27,6 +27,7 @@ from helpers import (
     expand_pairs,
     format_pairs,
     make_action,
+    orbit_of,
     pairs_of_word,
     parse_action_rows,
     random_transitive_perms,
@@ -311,7 +312,8 @@ def test_action_kernels_agree_with_ev_pairs(case):
 def test_coset_kernels_agree_with_ev_pairs(case):
     perms, act, w, base = case
     table, _ = s.build_table(act, base)
-    assert s.orbit(act, base) == list(table.points)
+    assert table.points[0] == base and len(set(table.points)) == len(table.points)
+    assert set(table.points) == orbit_of(perms, base)
     coset_of_point = {q: c for c, q in enumerate(table.points)}
     pairs = pairs_of_word(w)
     for c, q in enumerate(table.points):
@@ -687,10 +689,10 @@ def _faulty_rows(draw, rows: list[list[str]], i: int) -> list[list[str]]:
         name, images = row[1], row[2:]
         j = draw(st.integers(0, degree - 1))
         wrong = ["a", "1.5", "0x1", "-1", str(degree)] + ([images[j - 1]] if degree > 1 else [])
-        others = [other for other in names if other != name]
+        later = [other[1] for other in rows[i + 1:]]  # only later rows, so two renamed rows never swap into a valid file
         faults = [["prem", name, *images], ["perm"], ["perm", "q", *images], ["perm", name, *images[1:]], [*row, "0"],
                   ["perm", name, *images[:j], draw(st.sampled_from(wrong)), *images[j + 1:]]]
-        faults += [["perm", draw(st.sampled_from(others)), *images]] if others else []
+        faults += [["perm", draw(st.sampled_from(later)), *images]] if later else []
         if draw(st.booleans()):
             return [row, row]
     return [] if draw(st.integers(0, 9)) == 0 else [draw(st.sampled_from(faults))]

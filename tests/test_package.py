@@ -42,7 +42,7 @@ def test_public_surface_is_pinned():
         "Permutation", "SchreierBasis", "SchreierTransversal", "Word", "WordParseError",
         "build_table", "check_claim", "compute_basis", "concat", "contains", "coset_of", "degenerate_count",
         "evaluate", "expand", "format_action_text", "format_word", "haction_from_action", "identity", "induce",
-        "invert", "iter_reduced_words", "orbit", "parse", "parse_action_text", "perm_of_word", "prefixes",
+        "invert", "iter_reduced_words", "parse", "parse_action_text", "perm_of_word", "prefixes",
         "read_action_file", "reduce", "rep", "restrict_to_h", "rewrite", "run_checks", "single",
         "tensor_action_generic",
     ]

@@ -350,7 +350,7 @@ def test_words_over_too_wide_an_alphabet_raise_a_typed_error(monkeypatch):
     monkeypatch.setattr(s.words, "MAX_GENERATORS", 2)
     wide = s.Alphabet(("x", "y", "z"))  # still an alphabet, as an H-action's may be
     action = s.FiniteAction(wide, 2, (s.Permutation((1, 0)),) * 3)
-    assert len(wide) == 3 and s.orbit(action, 0) == [0, 1]
+    assert len(wide) == 3 and s.build_table(action, 0)[0].points == (0, 1)
     builds = [
         lambda: s.identity(wide), lambda: s.single(wide, 0), lambda: s.Word(wide, [(0, 1)]),
         lambda: s.reduce(wide, []), lambda: s.parse("x y", wide), lambda: s.parse("1", wide),
