@@ -15,7 +15,7 @@ from .actions import FiniteAction, Permutation, evaluate, perm_of_word
 from .basis import compute_basis, degenerate_count
 from .cosets import CosetTable, build_table, coset_of, rep
 from .induce import HAction, check_claim, induce, restrict_to_h, tensor_action_generic
-from .rewrite import NotInSubgroupError, contains, expand, rewrite
+from .rewrite import NotInSubgroupError, _bconcat, contains, expand, rewrite
 from .words import Letter, Word
 
 __all__ = ["CheckResult", "run_checks"]
@@ -92,16 +92,6 @@ def _walk(table: CosetTable, length: int) -> Iterator[tuple[str, int]]:
         cosets = [images[c] for t, c in zip(texts, cosets) for images in moves[t[-1:]]]
         texts = [t + ch for t in texts for ch in follow[t[-1:]]]
         yield from zip(texts, cosets)
-
-
-def _bconcat(left: tuple[tuple[int, int], ...], right: tuple[tuple[int, int], ...]):
-    stack = list(left)
-    for k, s in right:
-        if stack and stack[-1] == (k, -s):
-            stack.pop()
-        else:
-            stack.append((k, s))
-    return tuple(stack)
 
 
 def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: int = 0,

@@ -3,11 +3,13 @@
 A word lies in the stabilizer exactly when its coset scan returns to
 coset 0.  The same scan rewrites it over the basis: each positive letter
 emits the basis element of the current (coset, generator) pair, each
-negative letter emits the inverse of the pair it undoes, and degenerate
-pairs emit nothing.
+negative letter the inverse of the pair it undoes, and degenerate pairs
+nothing, each factor ready from a table kept with the basis.  Expanding
+joins the walk back with no reduction.
 """
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable
 
 from . import words
@@ -71,73 +73,81 @@ def rewrite(table: CosetTable, transversal: SchreierTransversal, basis: Schreier
         raise ValueError("alphabet mismatch")
     steps = _source(basis, table)[2]
     emits = _tables(basis)[0]
-    factors: list[int] = []
+    emitted: list[tuple[int, int] | None] = []
     c = 0
     for code in map(ord, w.codes):
-        f = emits[code][c]
+        emitted.append(emits[code][c])
         c = steps[code][c]
-        if f is not None:
-            factors.append(f)
     if c != 0:
         raise NotInSubgroupError(c)
     bw = object.__new__(BWord)
-    object.__setattr__(bw, "factors", tuple((f, 1) if f >= 0 else (~f, -1) for f in factors))
+    object.__setattr__(bw, "factors", tuple(filter(None, emitted)))
     return bw
 
 
 def _tables(basis: SchreierBasis):
-    """Per letter code, by coset, the factor it emits there: k for (k, 1), ~k for (k, -1), or None
-    (x^-1 at coset c undoes the pair (c x^-1, x)); and per element its edge (from coset, code, to coset).
-    Built in O(m·n) on first use, from the steps of the basis's own table, and kept."""
+    """Per letter code, by coset, the factor it emits: the basis's one (k, 1) or (k, -1) tuple, or None (x^-1
+    at coset c undoes the pair (c x^-1, x)); per element k, its edge in three columns: from coset, letter code
+    and to coset.  Built in O(m·n) on first use, from the steps of the basis's own table, and kept."""
     kept = basis.__dict__.get("_tables")
     if kept is None:
         steps = _source(basis)[2]
+        size = len(basis.elements)
+        plus, minus = list(zip(range(size), repeat(1))), list(zip(range(size), repeat(-1)))
         emits = []
         for g, ks in enumerate(_columns(basis)):
-            emits += [tuple(ks), words._gather([None if k is None else ~k for k in ks], steps[2 * g + 1])]
-        edges = tuple((e.coset, 2 * e.gen, steps[2 * e.gen][e.coset]) for e in basis.elements)
-        kept = (tuple(emits), edges)
+            emits += [tuple([None if k is None else plus[k] for k in ks]),
+                      words._gather([None if k is None else minus[k] for k in ks], steps[2 * g + 1])]
+        starts = [e.coset for e in basis.elements]
+        codes = [2 * e.gen for e in basis.elements]
+        kept = (tuple(emits), (starts, codes, [steps[code][c] for c, code in zip(starts, codes)]))
         object.__setattr__(basis, "_tables", kept)
     return kept
 
 
 def expand(basis: SchreierBasis, bw: BWord | Iterable[tuple[int, int]]) -> Word:
-    """Multiply out a word over the basis and reduce it onto one stack.
+    """Multiply out a word over the basis: join its walk in the Schreier graph, with no reduction.
 
-    Accepts a BWord or any (index, sign) sequence with signs +1 or -1;
-    unreduced sequences are fine.  The basis must come from
-    ``compute_basis``, else ValueError.  This walks its Schreier graph, in
-    O(k + |result|) for k reduced factors: the factor on the pair (c, x) is
-    the tree path to c, then x (for sign -1, the path to cx, then x^-1),
-    and a last path leads back to coset 0.
+    Accepts a BWord or any (index, sign) sequence with signs +1 or -1; an unreduced one is checked, then
+    reduced factor by factor.  The basis must come from ``compute_basis``, else ValueError.  The factor on
+    the pair (c, x) is the tree path to c, then x (for sign -1, the path to cx, then x^-1), and a last path
+    leads back to coset 0: O(k + |result|) for k factors.  No letter cancels: a tree path is a geodesic and
+    meets the non-tree edges on either side at other edges, since the action is a permutation, and two
+    edges with no path between cancel only as (k, s), (k, -s).
     """
-    factors = bw.factors if isinstance(bw, BWord) else bw
-    tree, edges = _source(basis)[1]._tree, _tables(basis)[1]
-    stack: list[int] = []
+    tree, (starts, codes, ends) = _source(basis)[1]._tree, _tables(basis)[1]
+    factors = bw.factors if isinstance(bw, BWord) else list(bw)  # a BWord is reduced, signs +1 or -1, indices >= 0
+    if not isinstance(bw, BWord):
+        for k, s in factors:  # every factor, before any cancels
+            if not 0 <= k < len(codes):
+                raise ValueError(f"basis index {k} out of range")
+            if s not in (1, -1):
+                raise ValueError(f"factor sign must be +1 or -1, got {s}")
+        factors = _bconcat((), factors)
+    walk: list[int] = []
     c = 0
     for k, s in factors:
-        if not 0 <= k < len(edges):
-            raise ValueError(f"basis index {k} out of range")
-        if s not in (1, -1):
-            raise ValueError(f"factor sign must be +1 or -1, got {s}")
-        a, code, b = edges[k]  # the edge from coset a
-        if s == -1:
-            a, b, code = b, a, code + 1
+        try:
+            if s == 1:
+                a, code, b = starts[k], codes[k], ends[k]
+            else:
+                a, code, b = ends[k], codes[k] + 1, starts[k]
+        except IndexError:  # only a BWord's index, never negative, can pass the last element
+            raise ValueError(f"basis index {k} out of range") from None
         if c != a:
-            _push(stack, _tree_path(tree, c, a))
-        if stack and stack[-1] == code ^ 1:
+            walk += _tree_path(tree, c, a)
+        walk.append(code)
+        c = b
+    walk += _tree_path(tree, c, 0)
+    return words._spell(basis.alphabet, walk)
+
+
+def _bconcat(left: Iterable[tuple[int, int]], right: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The reduced form of left then right, for a reduced left, on one stack of factors."""
+    stack = list(left)
+    for k, s in right:
+        if stack and stack[-1] == (k, -s):
             stack.pop()
         else:
-            stack.append(code)
-        c = b
-    _push(stack, _tree_path(tree, c, 0))
-    return words._spell(basis.alphabet, stack)
-
-
-def _push(stack: list[int], codes: list[int]) -> None:
-    """Push reduced letter codes onto a reduced stack: only their junction can cancel."""
-    i = 0
-    while i < len(codes) and stack and stack[-1] == codes[i] ^ 1:
-        stack.pop()
-        i += 1
-    stack += codes[i:]
+            stack.append((k, s))
+    return tuple(stack)

@@ -676,26 +676,53 @@ def test_schreier_vector_of_words_agrees_with_the_tree_the_texts_and_expand(case
     assert pairs_of_word(got) == expand_pairs([pairs_of_word(e.word) for e in basis.elements], factors)
 
 
+@given(action_with_transversals(), st.lists(st.tuples(st.integers(0, 99), st.sampled_from((1, -1))), max_size=16))
+@example(CYCLE5_LIFO, [(1, 1), (4, -1), (0, 1), (5, 1), (2, -1), (3, 1)])
+def test_a_reduced_word_over_the_basis_walks_the_schreier_graph_without_backtracking(case, drawn):
+    _, table, tr, _ = _build(case)
+    basis = s.compute_basis(table, tr)
+    size = len(basis.elements)
+    factors = brute_factor_reduce([(k % size, sign) for k, sign in drawn]) if size else ()
+    graph, reps = [p.images for p in table.graph.gen_perms], [pairs_of_word(r) for r in tr.reps]
+    # The tree geodesic to each edge, the edge, and at the end the path back to coset 0, joined with no reduction.
+    walk, c = [], 0
+    for k, sign in factors:
+        e = basis.elements[k]
+        a, b = e.coset, graph[e.gen][e.coset]
+        if sign == -1:
+            a, b = b, a
+        walk += brute_reduce(_inverse_pairs(reps[c]) + reps[a])
+        walk.append((e.gen, sign))
+        c = b
+    walk += _inverse_pairs(reps[c])
+    assert brute_reduce(walk) == tuple(walk)
+    assert pairs_of_word(s.expand(basis, s.BWord(factors))) == tuple(walk)
+
+
 def _faulty_rows(draw, rows: list[list[str]], i: int) -> list[list[str]]:
     """What stands in for row i of a valid file: none, two, or one row, with one fault of a kind that
-    ``test_parse_action_errors`` lists."""
+    ``test_parse_action_errors`` lists.  The kind is drawn first, each kind as likely as any other."""
     row, degree, names = rows[i], int(rows[0][1]), rows[1][1:]
     if i == 0:
         faults = [[row[0]], [*row, "7"], ["Degree", row[1]], ["degree", "zero"], ["degree", "0"], ["degree", "-2"],
                   ["degree", str(s.actions.MAX_DEGREE + 1)]]
     elif i == 1:
         faults = [["gens", *names], [*row, "2y"], [*row, *(names[:1] or ["x", "x"])], [*row, "w"]]
-    else:
-        name, images = row[1], row[2:]
+    if i < 2:
+        return draw(st.sampled_from([[], *([fault] for fault in faults)]))
+    name, images = row[1], row[2:]
+    later = [other[1] for other in rows[i + 1:]]  # only later rows, so two renamed rows never swap into a valid file
+
+    def one_image(wrong):  # image j replaced by one of wrong(j)
         j = draw(st.integers(0, degree - 1))
-        wrong = ["a", "1.5", "0x1", "-1", str(degree)] + ([images[j - 1]] if degree > 1 else [])
-        later = [other[1] for other in rows[i + 1:]]  # only later rows, so two renamed rows never swap into a valid file
-        faults = [["prem", name, *images], ["perm"], ["perm", "q", *images], ["perm", name, *images[1:]], [*row, "0"],
-                  ["perm", name, *images[:j], draw(st.sampled_from(wrong)), *images[j + 1:]]]
-        faults += [["perm", draw(st.sampled_from(later)), *images]] if later else []
-        if draw(st.booleans()):
-            return [row, row]
-    return [] if draw(st.integers(0, 9)) == 0 else [draw(st.sampled_from(faults))]
+        return [["perm", name, *images[:j], draw(st.sampled_from(wrong(j))), *images[j + 1:]]]
+
+    kinds = [lambda: [], lambda: [row, row], lambda: [["prem", name, *images]], lambda: [["perm"]],
+             lambda: [["perm", "q", *images]], lambda: [["perm", name, *images[1:]]], lambda: [[*row, "0"]],
+             lambda: one_image(lambda j: ["a", "1.5", "0x1"]),  # not an integer
+             lambda: one_image(lambda j: ["-1", str(degree)] + [images[j - 1]] * (degree > 1))]  # not a bijection
+    kinds += [lambda: [["perm", draw(st.sampled_from(later)), *images]]] if later else []
+    return draw(st.sampled_from(kinds))()
 
 
 @st.composite
@@ -770,10 +797,10 @@ def test_tables_and_induce_agree_with_the_index_pair_by_pair(case, data):
     assert built == []  # compute_basis left every word unbuilt, and the tables and induce read none
     graph, m, index = [p.images for p in table.graph.gen_perms], table.num_cosets, basis.index
     for g, images in enumerate(graph):
-        assert emits[2 * g] == tuple(index[(c, g)] for c in range(m))
+        assert emits[2 * g] == tuple(None if (k := index[(c, g)]) is None else (k, 1) for c in range(m))
         undone = [index[(images.index(c), g)] for c in range(m)]  # x^-1 at c undoes the pair (c x^-1, x)
-        assert emits[2 * g + 1] == tuple(None if k is None else ~k for k in undone)
-    assert edges == tuple((e.coset, 2 * e.gen, graph[e.gen][e.coset]) for e in basis.elements)
+        assert emits[2 * g + 1] == tuple(None if k is None else (k, -1) for k in undone)
+    assert [*zip(*edges)] == [(e.coset, 2 * e.gen, graph[e.gen][e.coset]) for e in basis.elements]  # three columns
     for g, images in enumerate(graph):
         for c, a in itertools.product(range(m), range(d)):
             k = index[(c, g)]

@@ -81,6 +81,19 @@ def test_expand_rejects_a_sign_other_than_plus_or_minus_one(sign):
         assert str(info.value) == f"factor sign must be +1 or -1, got {sign}"
 
 
+def test_expand_checks_every_factor_before_reducing_a_raw_sequence():
+    # A bad factor must not cancel against its inverse before it is checked.
+    _, _, basis = setup_case(CYCLE3)
+    with pytest.raises(ValueError) as info:
+        s.expand(basis, [(0, 2), (0, -2)])
+    assert str(info.value) == "factor sign must be +1 or -1, got 2"
+    with pytest.raises(ValueError, match="out of range"):
+        s.expand(basis, [(9, 1), (9, -1)])
+    assert s.expand(basis, [(0, 1), (0, -1), (1, 1)]) == basis.elements[1].word
+    with pytest.raises(ValueError, match="basis index 9 out of range"):
+        s.expand(basis, s.BWord(((1, 1), (9, -1))))
+
+
 def test_bword_validates():
     with pytest.raises(ValueError, match="not reduced"):
         s.BWord(((0, 1), (0, -1)))
