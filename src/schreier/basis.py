@@ -9,7 +9,8 @@ collapse to 1; the other pairs give a free basis of 1 + m(n - 1) words.
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import filterfalse, product, repeat
+from functools import cached_property
+from itertools import accumulate, chain, compress, cycle, product, repeat
 
 from . import words
 from .cosets import CosetTable, SchreierTransversal, _tree_path
@@ -62,7 +63,9 @@ def _read_word(e: BasisElement, get=BasisElement.word.__get__, put=BasisElement.
             t, u = tr.reps[c].codes, tr.reps[d].codes
             word = words._word(alphabet, t + alphabet._chars[code] + u[::-1].translate(alphabet._flips))
         else:
-            word = words._spell(alphabet, _tree_path(tr._tree, 0, c) + [code] + _tree_path(tr._tree, d, 0))
+            walk = _tree_path(tr._tree, 0, c, [])
+            walk.append(code)
+            word = words._spell(alphabet, _tree_path(tr._tree, d, 0, walk))
         put(e, word)
     return word
 
@@ -78,9 +81,12 @@ class SchreierBasis:
     ``index`` maps every (coset, generator) pair to the position of its
     basis element, or to None when the pair is degenerate.  It is
     determined by ``elements``, so equality and hashing leave it out.
-    ``compute_basis`` also keeps the elements' shared ``_source``, without
-    which (built by hand, or by ``dataclasses.replace``) ``rewrite``,
-    ``expand``, ``restrict_to_h`` and ``induce`` raise ValueError.
+    ``compute_basis`` keeps the positions in one coset-major list, ``_ks``,
+    with slot c·n + g for the pair (c, g), and spells out ``index`` from it
+    on first read, in O(m·n).  It also keeps the elements' shared
+    ``_source``, without which (built by hand, or by ``dataclasses.replace``)
+    ``rewrite``, ``expand``, ``restrict_to_h``, ``induce`` and
+    ``degenerate_count`` raise ValueError.
     """
 
     alphabet: Alphabet
@@ -89,40 +95,48 @@ class SchreierBasis:
     index: dict[tuple[int, int], int | None] = field(compare=False)
 
 
+# Set after the class is made, so ``index`` stays a field: a computed basis spells it out on first read and keeps it.
+SchreierBasis.index = cached_property(lambda b: dict(zip(product(range(b.num_cosets), range(len(b.alphabet))), b._ks)))
+SchreierBasis.index.__set_name__(SchreierBasis, "index")
+
+
 def compute_basis(table: CosetTable, transversal: SchreierTransversal) -> SchreierBasis:
     """One basis word per (coset, generator) pair that is not a tree edge.
 
     Raises InvariantError unless ``transversal`` is a Schreier transversal
-    of ``table``.  Words are built on first read, with no reduction:
-    t x rep(tx)^-1 cancels only if t ends in x^-1 or rep(tx) ends in x,
-    either making (t, x) a tree edge.
+    of ``table``.  Numbers the pairs in one coset-major list of m·n slots,
+    None at each tree edge, and builds no pair per slot: ``index`` is
+    spelled out on first read.  Words are built on first read, with no
+    reduction: t x rep(tx)^-1 cancels only if t ends in x^-1 or rep(tx)
+    ends in x, either making (t, x) a tree edge.
     """
-    alphabet = table.action.alphabet
-    tree = set(_tree_edges(table, transversal))
-    pairs = list(product(range(table.num_cosets), range(len(alphabet))))  # coset-major, as ``_columns`` reads them
-    free = list(filterfalse(tree.__contains__, pairs))
-    index: dict[tuple[int, int], int | None] = dict.fromkeys(pairs)
-    index.update(zip(free, range(len(free))))
+    alphabet, m = table.action.alphabet, table.num_cosets
+    n = len(alphabet)
+    free = [True] * (m * n)
+    for c, g in _tree_edges(table, transversal):
+        free[c * n + g] = False
+    ks = [k - 1 if f else None for f, k in zip(free, accumulate(free))]
     source = (alphabet, transversal, table.graph._steps)
-    elements = tuple(map(object.__new__, repeat(BasisElement, len(free))))
-    cosets, gens = zip(*free) if free else ((), ())
-    for put, values in ((BasisElement.coset.__set__, cosets), (BasisElement.gen.__set__, gens),
+    elements = tuple(map(object.__new__, repeat(BasisElement, free.count(True))))
+    cosets = compress(chain.from_iterable(map(repeat, range(m), repeat(n))), free)
+    for put, values in ((BasisElement.coset.__set__, cosets), (BasisElement.gen.__set__, compress(cycle(range(n)), free)),
                         (BasisElement.word.fset, repeat(None)), (_Sourced._source.__set__, repeat(source))):
         deque(map(put, elements, values), 0)  # the slots' own setters, one C call per field: no frozen check
-    basis = SchreierBasis(alphabet, table.num_cosets, elements, index)
-    object.__setattr__(basis, "_source", source)
+    basis = object.__new__(SchreierBasis)
+    basis.__dict__.update(alphabet=alphabet, num_cosets=m, elements=elements, _source=source, _ks=ks)
     return basis
 
 
 def degenerate_count(basis: SchreierBasis) -> int:
-    """Number of (coset, generator) pairs whose word collapsed to 1."""
-    return [*basis.index.values()].count(None)
+    """Number of (coset, generator) pairs whose word collapsed to 1.  ValueError for a basis not from ``compute_basis``."""
+    _source(basis)
+    return basis._ks.count(None)
 
 
 def _columns(basis: SchreierBasis) -> list[list[int | None]]:
-    """Per generator, by coset, its pair's index: a slice of ``index``, which ``compute_basis`` fills coset-major."""
-    ks = [*basis.index.values()]
-    return [ks[g::len(basis.alphabet)] for g in range(len(basis.alphabet))]
+    """Per generator, by coset, its pair's index: a slice of ``_ks``, which ``compute_basis`` fills coset-major."""
+    n = len(basis.alphabet)
+    return [basis._ks[g::n] for g in range(n)]
 
 
 def _source(basis: SchreierBasis, table: CosetTable | None = None):
@@ -155,7 +169,7 @@ def _tree_edges(table: CosetTable, transversal: SchreierTransversal) -> list[tup
     if transversal._alphabet is not alphabet and transversal._alphabet != alphabet:
         raise ValueError("alphabet mismatch")
     images = table.graph._steps
-    edges = [(parents[c], codes[c]) for c in cosets]
-    if not all(p is not None and depths[p] < depths[c] and images[code][p] == c for c, (p, code) in zip(cosets, edges)):
+    edges = (cosets, parents[1:], codes[1:])  # zipped twice: each pass reuses one tuple
+    if not all(p is not None and depths[p] < depths[c] and images[code][p] == c for c, p, code in zip(*edges)):
         raise InvariantError(_NOT_SCHREIER)
-    return [(c if code & 1 else p, code >> 1) for c, (p, code) in zip(cosets, edges)]
+    return [(c if code & 1 else p, code >> 1) for c, p, code in zip(*edges)]

@@ -84,18 +84,19 @@ SchreierTransversal.reps = cached_property(_spell_reps)
 SchreierTransversal.reps.__set_name__(SchreierTransversal, "reps")
 
 
-def _tree_path(tree, a: int, b: int) -> list[int]:
-    """The letter codes of the path from coset a to coset b in a Schreier vector, in O(its length)."""
+def _tree_path(tree, a: int, b: int, walk: list[int]) -> list[int]:
+    """Extend walk by the letter codes of the path from coset a to coset b in a Schreier vector, in O(its length)."""
     parents, codes, depths = tree
-    up, down = [], []
+    down = []
     while a != b:  # climb from the deeper coset until the two meet
         if depths[a] >= depths[b]:
-            up.append(codes[a] ^ 1)
+            walk.append(codes[a] ^ 1)
             a = parents[a]
         else:
             down.append(codes[b])
             b = parents[b]
-    return up + down[::-1]
+    walk += down[::-1]
+    return walk
 
 
 def _texts(table: CosetTable, transversal: SchreierTransversal, pairs=()):

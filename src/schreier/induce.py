@@ -74,7 +74,7 @@ def induce(sigma: HAction, table: CosetTable, transversal: SchreierTransversal, 
     if d * m > actions.MAX_DEGREE:
         raise ValueError(f"induced degree {d} x {m} is more than the limit of {actions.MAX_DEGREE}")
     # Reps walk tree edges only, so they leave A alone iff those are degenerate.
-    if any(basis.index[pair] is not None for pair in _tree_edges(table, transversal)):
+    if any(basis._ks[c * len(basis.alphabet) + g] is not None for c, g in _tree_edges(table, transversal)):
         raise InvariantError("transversal words must move cosets without touching A")
     # Point a + d*c goes to sigma_k(a) + d*c2, or to a + d*c2 when degenerate.
     moves = dict([(None, range(d)), *enumerate(p.images for p in sigma.perms)])

@@ -135,11 +135,10 @@ def expand(basis: SchreierBasis, bw: BWord | Iterable[tuple[int, int]]) -> Word:
         except IndexError:  # only a BWord's index, never negative, can pass the last element
             raise ValueError(f"basis index {k} out of range") from None
         if c != a:
-            walk += _tree_path(tree, c, a)
+            _tree_path(tree, c, a, walk)
         walk.append(code)
         c = b
-    walk += _tree_path(tree, c, 0)
-    return words._spell(basis.alphabet, walk)
+    return words._spell(basis.alphabet, _tree_path(tree, c, 0, walk))
 
 
 def _bconcat(left: Iterable[tuple[int, int]], right: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 
 import pytest
 
@@ -189,6 +190,38 @@ def test_basis_element_fields_leave_out_its_source():
     assert repr(e) == "BasisElement(coset=1, gen=1, word=Word('x y x^-1'))"
 
 
+def test_the_index_is_a_plain_dict_spelled_out_on_first_read():
+    table, tr = s.build_table(CYCLE3, 0)
+    basis = s.compute_basis(table, tr)
+    assert "index" not in basis.__dict__
+    text = repr(basis)
+    assert "index" in basis.__dict__ and type(basis.index) is dict and basis.index is basis.index
+    index = dict(basis.index)
+    by_hand = s.SchreierBasis(basis.alphabet, basis.num_cosets, basis.elements, index)
+    assert text == repr(by_hand) and by_hand.index is index  # a basis built by hand keeps the dict it was given
+    fresh = s.compute_basis(table, tr)
+    assert dataclasses.asdict(fresh) == dataclasses.asdict(by_hand) and dataclasses.replace(fresh).index == index
+    assert list(fresh.index) == [(c, g) for c in range(3) for g in range(2)]
+    for pair in [(3, 0), (0, 2), (-1, 0), 0]:  # no slot of ``_ks`` answers for a pair outside the table
+        with pytest.raises(KeyError):
+            fresh.index[pair]
+
+
+def test_compute_basis_keeps_no_pair_per_slot():
+    # A dict keyed by (coset, generator) tuples peaks at 13 MB here; the coset-major list and the elements at 5 MB.
+    rng = random.Random(61)
+    act = make_action(("x", "y"), [rng.sample(range(20_000), 20_000) for _ in range(2)])
+    table, tr = s.build_table(act, 0)
+    tracemalloc.start()
+    try:
+        basis = s.compute_basis(table, tr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(basis.elements) == 1 + table.num_cosets
+    assert peak < 8_000_000
+
+
 def test_reading_the_pair_of_a_basis_element_builds_no_word(monkeypatch):
     # Lazy fields are descriptors on the classes, not a __getattr__ hook that slows every read.
     assert "__getattr__" not in vars(s.BasisElement) and "__getattr__" not in vars(s.SchreierTransversal)
@@ -232,7 +265,8 @@ def test_a_basis_not_made_by_compute_basis_is_refused(copy):
     assert other == basis  # equal fields: only what compute_basis stored is missing
     h = CYCLE3.alphabet.word("x y x^-1")
     calls = [lambda: s.rewrite(table, tr, other, h), lambda: s.expand(other, [(2, 1)]), lambda: s.expand(other, []),
-             lambda: s.restrict_to_h(ind, other), lambda: s.induce(sigma, table, tr, other)]
+             lambda: s.restrict_to_h(ind, other), lambda: s.induce(sigma, table, tr, other),
+             lambda: s.degenerate_count(other)]
     for call in calls:
         with pytest.raises(ValueError, match="basis was not made by compute_basis"):
             call()
@@ -287,6 +321,9 @@ def test_set_up_rewrite_and_induce_build_no_word(monkeypatch):
     ind = s.induce(sigma, table, tr, basis)
     assert built == []
     assert len(basis.elements) == 2001 and len(bw) == 1 and ind.base.degree == 6000
+    assert s.expand(basis, bw) == w and len(s.restrict_to_h(ind, basis)) == 2001 and s.degenerate_count(basis) == 1999
+    assert "index" not in basis.__dict__  # no reader spells out the pairs
+    assert [basis.index[pair] for pair in [(1, 0), (1, 1), (1999, 0)]] == [None, 1, 1999]
 
 
 def test_expand_builds_only_the_words_of_its_factors(monkeypatch):

@@ -494,6 +494,7 @@ def test_compute_basis_agrees_with_brute_reduce(case):
     elements, index = _basis_oracle(perms, table, tr)
     assert [(e.coset, e.gen, pairs_of_word(e.word)) for e in basis.elements] == elements
     assert basis.index == index
+    assert type(basis.index) is dict and list(basis.index.items()) == list(index.items())
     assert all(_revalidates(e.word) for e in basis.elements)
     u = s.reduce(table.action.alphabet, raw)
     h = s.concat(u, s.invert(s.rep(table, tr, u)))
