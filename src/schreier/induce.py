@@ -64,7 +64,7 @@ class InducedAction:
 
 def induce(sigma: HAction, table: CosetTable, transversal: SchreierTransversal, basis: SchreierBasis) -> InducedAction:
     """Build the induced action of the whole group from an H-action on the basis of this table."""
-    _source(basis, table)
+    alphabet, tr, _ = _source(basis, table)
     if len(sigma.perms) != len(basis.elements):
         raise ValueError(
             f"H-action has {len(sigma.perms)} permutations, basis has {len(basis.elements)} elements"
@@ -73,8 +73,10 @@ def induce(sigma: HAction, table: CosetTable, transversal: SchreierTransversal, 
     d = sigma.degree
     if d * m > actions.MAX_DEGREE:
         raise ValueError(f"induced degree {d} x {m} is more than the limit of {actions.MAX_DEGREE}")
-    # Reps walk tree edges only, so they leave A alone iff those are degenerate.
-    if any(basis._ks[c * len(basis.alphabet) + g] is not None for c, g in _tree_edges(table, transversal)):
+    # Reps walk tree edges only, so they leave A alone iff those are degenerate: compute_basis
+    # made exactly its own transversal's tree edges degenerate, after this check on that tree.
+    own = transversal is tr and (table.action.alphabet is alphabet or table.action.alphabet == alphabet)
+    if not own and any(basis._ks[c * len(alphabet) + g] is not None for c, g in _tree_edges(table, transversal)):
         raise InvariantError("transversal words must move cosets without touching A")
     # Point a + d*c goes to sigma_k(a) + d*c2, or to a + d*c2 when degenerate.
     moves = dict([(None, range(d)), *enumerate(p.images for p in sigma.perms)])

@@ -8,7 +8,9 @@ inverse is code ^ 1 and codes sort in shortlex letter order
 x0 < x0^-1 < x1 < ...  All values here are immutable and safe to share
 between threads.  The one exception is a bounded cache: each
 ``Alphabet`` remembers short factor tokens ``parse`` has read, at most
-``_TOKEN_MEMO_SIZE`` of them.  It is still thread-safe: a token always
+``_TOKEN_MEMO_SIZE`` of them.  A text whose tokens are all there parses
+in one join; a first-seen token is learned there first and the text
+joined, at any alphabet width.  It is still thread-safe: a token always
 maps to the same value, each dict read or write is atomic, and threads
 that race past the size check can overfill it only by one token each.
 """
@@ -124,7 +126,9 @@ class Alphabet:
     @cached_property
     def _tokens(self) -> dict[str, str | tuple[int, int]]:
         """``parse``'s memo, at most ``_TOKEN_MEMO_SIZE`` tokens: factor token -> its run of codes,
-        or (generator, exponent) for a run longer than ``_TOKEN_MEMO_WIDTH``."""
+        or (generator, exponent) for a run longer than ``_TOKEN_MEMO_WIDTH``.  ``parse`` learns a
+        first-seen token here, then joins the text's runs, so only a text that cancels, holds a long
+        run, or has a token the memo cannot take (too long, the memo full, not one factor) folds."""
         return {}
 
     def index(self, name: str) -> int:
@@ -280,7 +284,9 @@ def parse(text: str, alphabet: Alphabet) -> Word:
     tokens = text.split()
     try:  # every token memoised with its run of codes: one join
         codes = "".join(map(alphabet._tokens.__getitem__, tokens))
-    except (KeyError, TypeError):  # a token not memoised yet, or a long run's (generator, exponent)
+    except KeyError:  # a token not memoised yet
+        codes = _learn_and_join(tokens, alphabet)
+    except TypeError:  # a long run's (generator, exponent)
         codes = ""
     if codes and len(codes) <= MAX_WORD_LENGTH and not _cancels(codes):
         return _word(alphabet, codes)
@@ -288,13 +294,38 @@ def parse(text: str, alphabet: Alphabet) -> Word:
     return _fold(alphabet, _token_factors(tokens, alphabet) or _scan_factors(text, alphabet))
 
 
+def _learn_and_join(tokens: list[str], alphabet: Alphabet) -> str:
+    """Learn the tokens the memo lacks, up to the first that is not one factor, then join their codes.
+
+    "" when the join still fails: a token that is not one factor, one the
+    memo could not take, or a long run's (generator, exponent).
+    """
+    memo = alphabet._tokens
+    for token in filterfalse(memo.__contains__, tokens):
+        if _learn(token, alphabet) is None:
+            break
+    try:
+        return "".join(map(memo.__getitem__, tokens))
+    except (KeyError, TypeError):
+        return ""
+
+
 def _cancels(codes: str) -> bool:
     """Whether two adjacent codes cancel: XOR them with themselves shifted a letter, and find a 1, all in C.
-    Codes past 255, of more than 128 generators, count as cancelling: the fold decides."""
+
+    Past 255, over more than 128 generators, each code takes 32 bits and a
+    cancelling pair is a 32-bit slot that reads 1: a match across two slots
+    is passed over.
+    """
     try:
         raw = codes.encode("latin-1")
     except UnicodeEncodeError:
-        return True
+        x = _number(codes)
+        raw = (x ^ x >> 32).to_bytes(4 * len(codes), "big")
+        at = raw.find(b"\x00\x00\x00\x01", 4)
+        while at > 0 and at & 3:
+            at = raw.find(b"\x00\x00\x00\x01", (at | 3) + 1)
+        return at > 0
     x = int.from_bytes(raw, "big")
     return (x ^ x >> 8).to_bytes(len(raw), "big").find(1, 1) >= 0
 
@@ -303,26 +334,38 @@ def _token_factors(tokens: list[str], alphabet: Alphabet) -> list[tuple[int, int
     """The factors of whitespace-separated factor tokens, else None.
 
     Each token is looked up in the alphabet's memo, and learnt there if it
-    is at most ``_TOKEN_MEMO_WIDTH`` characters long, while the memo holds
-    fewer than ``_TOKEN_MEMO_SIZE`` tokens.  A token that is not one
-    whole factor (``*``, ``1``, an unknown name, ``x^0``, ...) returns None:
-    the scanner then parses the text or reports its first fault.
+    is not.  A token that is not one whole factor (``*``, ``1``, an unknown
+    name, ``x^0``, ...) returns None: the scanner then parses the text or
+    reports its first fault.
     """
     memo = alphabet._tokens
     factors = []
     for token in tokens:
         factor = memo.get(token)
         if factor is None:
-            factor = _token_factor(token, alphabet)
+            factor = _learn(token, alphabet)
             if factor is None:
                 return None
-            if len(memo) < _TOKEN_MEMO_SIZE and len(token) <= _TOKEN_MEMO_WIDTH:
-                gen, k = factor  # a short run is kept as its codes, ready to join
-                memo[token] = factor if abs(k) > _TOKEN_MEMO_WIDTH else alphabet._chars[2 * gen + (k < 0)] * abs(k)
         elif type(factor) is str:
             factor = ord(factor[0]) >> 1, len(factor) * (-1 if ord(factor[0]) & 1 else 1)
         factors.append(factor)
     return factors
+
+
+def _learn(token: str, alphabet: Alphabet) -> tuple[int, int] | None:
+    """The token's (generator, exponent), or None if it is not one factor.
+
+    The memo's one store rule: a factor is kept if the token is at most
+    ``_TOKEN_MEMO_WIDTH`` characters long, while the memo holds fewer than
+    ``_TOKEN_MEMO_SIZE`` tokens, as its run of codes, ready to join, or as
+    (generator, exponent) for a run longer than ``_TOKEN_MEMO_WIDTH``.
+    """
+    factor = _token_factor(token, alphabet)
+    memo = alphabet._tokens
+    if factor is not None and len(memo) < _TOKEN_MEMO_SIZE and len(token) <= _TOKEN_MEMO_WIDTH:
+        gen, k = factor
+        memo[token] = factor if abs(k) > _TOKEN_MEMO_WIDTH else alphabet._chars[2 * gen + (k < 0)] * abs(k)
+    return factor
 
 
 def _token_factor(token: str, alphabet: Alphabet) -> tuple[int, int] | None:

@@ -116,6 +116,18 @@ def _over_another_alphabet():
     return ind, other_tr, other_basis
 
 
+def test_induce_checks_the_tree_of_any_transversal_but_the_basis_own(monkeypatch):
+    # compute_basis checked its own transversal's tree; an equal transversal object is still checked.
+    table, tr, basis = setup_case(CYCLE3)
+    sigma = identity_sigma(basis, 2)
+    checked = []
+    monkeypatch.setattr(sys.modules["schreier.induce"], "_tree_edges", lambda *args: checked.append(args[1]) or [])
+    s.induce(sigma, table, tr, basis)
+    assert checked == []
+    copy = s.SchreierTransversal(tr.reps)
+    assert s.induce(sigma, table, copy, basis) == s.induce(sigma, table, tr, basis) and checked == [copy]
+
+
 def test_check_claim_refuses_another_alphabet():
     ind, other_tr, _ = _over_another_alphabet()
     for transversal in (other_tr, s.SchreierTransversal(other_tr.reps)):

@@ -214,6 +214,50 @@ def test_parse_agrees_with_the_factor_scanner(case):
         assert _outcome(lambda: s.parse(text, alphabet)) == scanned
 
 
+def _no_fold():
+    return mock.patch.object(s.words, "_fold", side_effect=AssertionError("folded"))
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), _raw(n, 60))))
+def test_parse_reads_a_formatted_word_back_with_one_join_cold_and_warm(case):
+    # No run passes 64 letters and nothing cancels: a fresh memo learns every token, and only ``1`` folds.
+    n, raw = case
+    alphabet = s.Alphabet(tuple("abcd"[:n]))
+    w = s.reduce(alphabet, raw)
+    with _no_fold() if w.codes else contextlib.nullcontext():
+        for _ in range(2):  # the fresh memo, then the warm one
+            assert s.parse(s.format_word(w), alphabet) == w
+
+
+# Codes past 255 need more than 128 generators; those of generators 0x6C00-0x6FFF are the surrogates.
+_WIDE = s.Alphabet(tuple(f"b{k}" for k in range(300)))
+_SURROGATES = s.Alphabet(tuple(f"b{k}" for k in range(0x7000)))
+# Few generators at a time, so that letters often cancel, or XOR to 0x100 or to 0x10000 across a 32-bit slot.
+_WIDE_GENERATORS = [(_WIDE, range(300)), (_WIDE, (0, 1, 127, 128, 129, 255, 256, 299)), (_WIDE, (126, 127, 128)),
+                    (_SURROGATES, (0x6BFF, 0x6C00, 0x6C01)), (_SURROGATES, (0x6FFF, 0x6F7F, 0x6F80, 0x6F00)),
+                    (_SURROGATES, (0, 0x80, 0x6C00, 0x6C80)), (_SURROGATES, (0, 1, 0x6FFF))]
+
+
+@st.composite
+def wide_raw(draw):
+    alphabet, gens = draw(st.sampled_from(_WIDE_GENERATORS))
+    return alphabet, draw(st.lists(st.tuples(st.sampled_from(gens), st.sampled_from((1, -1))), max_size=40))
+
+
+@given(wide_raw())
+@example((_WIDE, [(128, 1), (0, 1), (0, -1)]))
+@example((_SURROGATES, [(0x6C00, 1), (0x6C00, -1)]))
+def test_parse_joins_over_a_wide_alphabet_as_brute_reduce(case):
+    alphabet, raw = case
+    pairs = brute_reduce(raw)
+    alphabet._tokens.clear()  # a cold memo: a fresh alphabet of 28,672 names costs tens of ms
+    with _no_fold() if pairs else contextlib.nullcontext():
+        for _ in range(2):  # a reduced word's text joins, cold and warm; ``1`` is read by the scanner
+            assert pairs_of_word(s.parse(format_pairs(alphabet.names, pairs), alphabet)) == pairs
+    for _ in range(2):  # the unreduced text: every cancelling pair is found, and the fold reduces
+        assert pairs_of_word(s.parse(format_pairs(alphabet.names, raw), alphabet)) == pairs
+
+
 def _basis_case(seed: int):
     rng = random.Random(seed)
     n, m = rng.randint(1, 3), rng.randint(1, 6)

@@ -127,9 +127,10 @@ def test_parse_errors(text, message):
     ("x^2y", "missing separator at position 3"),
 ])
 def test_parse_error_messages(text, message):
-    with pytest.raises(s.WordParseError) as info:
-        s.parse(text, XY)
-    assert str(info.value) == message
+    for ab in (s.Alphabet(XY.names), XY):  # a cold memo learns the tokens before the fault, then the scanner reports it
+        with pytest.raises(s.WordParseError) as info:
+            s.parse(text, ab)
+        assert str(info.value) == message
 
 
 def test_format_parse_roundtrip():
@@ -281,6 +282,22 @@ def test_parse_memo_keeps_only_short_runs_as_codes():
         assert str(ab.word("x^64 y^-65 y^65 x^-2 y")) == "x^62 y"
     assert ab._tokens == {"x^64": "\x00" * 64, "y^-65": (1, -65), "y^65": (1, 65), "x^-2": "\x01\x01", "y": "\x02"}
     assert str(ab.word("x^64 x^-2 y")) == "x^62 y"
+
+
+def test_a_cold_parse_learns_its_tokens_and_joins_them_without_folding(monkeypatch):
+    texts = ["x^3 y^-2 x y^64 x^-1", "y x^-1 y^-1 x", "x^2 y^-1 x^2 y^-1"]  # canonical, so nothing cancels
+    expected = [s.parse(text, XY) for text in texts]
+    ab = s.Alphabet(("x", "y"))
+    with pytest.raises(s.WordParseError, match="must be nonzero"):
+        s.parse("y x^0 x^2", ab)
+    assert ab._tokens == {"y": "\x02"}  # learned up to the first token that is not one factor
+    ab = s.Alphabet(("x", "y"))
+    for name in ("_fold", "_token_factors"):
+        monkeypatch.setattr(s.words, name, lambda *args: pytest.fail("folded"))
+    assert [s.parse(text, ab) for text in texts] == expected
+    # One run of codes per token; a repeated token is learned once.
+    assert ab._tokens == {"x^3": "\x00" * 3, "y^-2": "\x03" * 2, "x": "\x00", "y^64": "\x02" * 64, "x^-1": "\x01",
+                          "y": "\x02", "y^-1": "\x03", "x^2": "\x00" * 2}
 
 
 def test_parse_memo_stays_bounded_under_racing_threads():
