@@ -6,13 +6,16 @@ identity and prints as ``1``.  A word is one string of letter codes:
 the letter (g, sign) is the character chr(2g + (sign < 0)), so a code's
 inverse is code ^ 1 and codes sort in shortlex letter order
 x0 < x0^-1 < x1 < ...  All values here are immutable and safe to share
-between threads.  The one exception is a bounded cache: each
-``Alphabet`` remembers short factor tokens ``parse`` has read, at most
-``_TOKEN_MEMO_SIZE`` of them.  A text whose tokens are all there parses
-in one join; a first-seen token is learned there first and the text
-joined, at any alphabet width.  It is still thread-safe: a token always
-maps to the same value, each dict read or write is atomic, and threads
-that race past the size check can overfill it only by one token each.
+between threads.  The exceptions are two bounded memos on each
+``Alphabet``, at most ``_TOKEN_MEMO_SIZE`` entries each.  ``parse``'s
+memo maps a short factor token to its run of codes: a text whose tokens
+are all there parses in one join; a first-seen token is learned there
+first and the text joined, at any alphabet width.  ``format_word``'s
+memo is its mirror and maps a short run of codes to its text, such as
+``x^-3``: a word's runs, found in C, are mapped through it in one join.
+Both are thread-safe: a key always maps to the same value, each dict
+read or write is atomic, and threads that race past the size check can
+overfill a memo only by one entry each.
 """
 
 import re
@@ -50,11 +53,19 @@ _NAME_RE = re.compile(_NAME + r"\Z")
 # One factor of ``parse`` and the separator after it: a name, an optional
 # ``^exponent``, then whitespace, at most one ``*`` and whitespace.
 _FACTOR_RE = re.compile(rf"({_NAME})(?:\^([+-]?[0-9]+))?(\s*\*?\s*)")
-# Most tokens ``parse`` memoises per alphabet, and the longest token, and
-# run of codes, it memoises, so hostile input cannot grow the memo past
+# Most entries each memo of an alphabet keeps, and the longest token, and
+# run of codes, it keeps, so hostile input cannot grow either memo past
 # about a megabyte.
 _TOKEN_MEMO_SIZE = 4096
 _TOKEN_MEMO_WIDTH = 64
+# Words shorter than this many letters are formatted by a loop over their
+# runs, which beats finding the runs in C below it.
+_FORMAT_LOOP_BELOW = 16
+# ``_runs`` marks each code 0xFF where a run starts and 0xFE where it goes
+# on: the codes of at most 127 generators stay below the markers.
+_RUNS_MAX_GENERATORS = 127
+# The bytes.translate table from a code XOR the code before it to its marker.
+_RUN_MARKERS = b"\xfe" + b"\xff" * 255
 
 
 class WordParseError(ValueError):
@@ -74,7 +85,13 @@ class Letter(NamedTuple):
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Ordered, distinct generator names; the order fixes shortlex.  Its per-code tables are built on first use."""
+    """Ordered, distinct generator names; the order fixes shortlex.  Its per-code tables are built on first use.
+
+    It also keeps two bounded memos, neither pickled: ``_tokens``, from
+    factor tokens ``parse`` has read to their runs of codes, and its mirror
+    ``_run_texts``, from runs of one code ``format_word`` has printed to
+    their text, such as ``x^-3``.
+    """
 
     names: tuple[str, ...]
 
@@ -112,10 +129,6 @@ class Alphabet:
         return "".join(self._chars[code ^ 1] for code in range(len(self._chars)))
 
     @cached_property
-    def _singles(self) -> dict[str, str]:  # the text of each one-letter run, by its character
-        return {ch: _run(self.names[code >> 1], -1 if code & 1 else 1) for code, ch in enumerate(self._chars)}
-
-    @cached_property
     def _letters(self) -> tuple[Letter, ...]:  # one shared Letter per code, built when a word's letters are read
         return tuple(Letter(g, sign) for g in range(len(self.names)) for sign in (1, -1))
 
@@ -129,6 +142,14 @@ class Alphabet:
         or (generator, exponent) for a run longer than ``_TOKEN_MEMO_WIDTH``.  ``parse`` learns a
         first-seen token here, then joins the text's runs, so only a text that cancels, holds a long
         run, or has a token the memo cannot take (too long, the memo full, not one factor) folds."""
+        return {}
+
+    @cached_property
+    def _run_texts(self) -> dict[str, str]:
+        """``format_word``'s memo, the mirror of ``_tokens``: a run of one code, at most
+        ``_TOKEN_MEMO_WIDTH`` of them, -> its text, such as ``x^-3``.  It holds at most
+        ``_TOKEN_MEMO_SIZE`` runs, learned as words are formatted, so a word costs O(|w|)
+        at any alphabet width; a run it cannot take is spelt afresh each time."""
         return {}
 
     def index(self, name: str) -> int:
@@ -326,8 +347,13 @@ def _cancels(codes: str) -> bool:
         while at > 0 and at & 3:
             at = raw.find(b"\x00\x00\x00\x01", (at | 3) + 1)
         return at > 0
+    return _xor_previous(raw).find(1, 1) >= 0
+
+
+def _xor_previous(raw: bytes) -> bytes:
+    """Each byte XOR the byte before it, the first kept as it is: in C, as one shift and XOR of an integer."""
     x = int.from_bytes(raw, "big")
-    return (x ^ x >> 8).to_bytes(len(raw), "big").find(1, 1) >= 0
+    return (x ^ x >> 8).to_bytes(len(raw), "big")
 
 
 def _token_factors(tokens: list[str], alphabet: Alphabet) -> list[tuple[int, int]] | None:
@@ -355,17 +381,22 @@ def _token_factors(tokens: list[str], alphabet: Alphabet) -> list[tuple[int, int
 def _learn(token: str, alphabet: Alphabet) -> tuple[int, int] | None:
     """The token's (generator, exponent), or None if it is not one factor.
 
-    The memo's one store rule: a factor is kept if the token is at most
-    ``_TOKEN_MEMO_WIDTH`` characters long, while the memo holds fewer than
-    ``_TOKEN_MEMO_SIZE`` tokens, as its run of codes, ready to join, or as
-    (generator, exponent) for a run longer than ``_TOKEN_MEMO_WIDTH``.
+    A factor is kept in the token memo when ``_has_room`` allows, as its
+    run of codes, ready to join, or as (generator, exponent) for a run
+    longer than ``_TOKEN_MEMO_WIDTH``.
     """
     factor = _token_factor(token, alphabet)
     memo = alphabet._tokens
-    if factor is not None and len(memo) < _TOKEN_MEMO_SIZE and len(token) <= _TOKEN_MEMO_WIDTH:
+    if factor is not None and _has_room(memo, token):
         gen, k = factor
         memo[token] = factor if abs(k) > _TOKEN_MEMO_WIDTH else alphabet._chars[2 * gen + (k < 0)] * abs(k)
     return factor
+
+
+def _has_room(memo: dict, key: str) -> bool:
+    """Both memos' store rule: a key of at most ``_TOKEN_MEMO_WIDTH`` characters, while the memo
+    holds fewer than ``_TOKEN_MEMO_SIZE`` entries."""
+    return len(memo) < _TOKEN_MEMO_SIZE and len(key) <= _TOKEN_MEMO_WIDTH
 
 
 def _token_factor(token: str, alphabet: Alphabet) -> tuple[int, int] | None:
@@ -443,23 +474,58 @@ def _fold(alphabet: Alphabet, factors: Iterable[tuple[int, int]]) -> Word:
 
 
 def format_word(w: Word) -> str:
-    """Canonical text: run-length factors joined by single spaces."""
-    codes, names, singles = w.codes, w.alphabet.names, w.alphabet._singles
-    if not codes:
-        return "1"
-    parts = []
-    i, end = 0, len(codes)
+    """Canonical text: run-length factors joined by single spaces.
+
+    Each run of one code is mapped to its text through the alphabet's run
+    memo, learning the runs it lacks.  A word of at least
+    ``_FORMAT_LOOP_BELOW`` letters over at most 127 generators has its runs
+    found in C by ``_runs``; a shorter word, or one over a wider alphabet,
+    whose codes reach the marker bytes, by a loop over its runs.
+    """
+    codes, alphabet = w.codes, w.alphabet
+    memo, end = alphabet._run_texts, len(codes)
+    if end >= _FORMAT_LOOP_BELOW and len(alphabet.names) <= _RUNS_MAX_GENERATORS:
+        runs = _runs(codes)
+        try:
+            return " ".join(map(memo.__getitem__, runs))
+        except KeyError:  # a run not memoised yet, or one the memo cannot take
+            return " ".join([memo.get(run) or _learn_run(run, alphabet) for run in runs])
+    texts, i = [], 0
     while i < end:
         c, j = codes[i], i + 1
         while j < end and codes[j] == c:
             j += 1
-        if j - i == 1:
-            parts.append(singles[c])
-        else:
-            code = ord(c)
-            parts.append(_run(names[code >> 1], i - j if code & 1 else j - i))
+        run = codes[i:j] if j - i > 1 else c  # no slice for the commonest run, one letter
+        try:
+            texts.append(memo[run])
+        except KeyError:
+            texts.append(_learn_run(run, alphabet))
         i = j
-    return " ".join(parts)
+    return " ".join(texts) or "1"
+
+
+def _runs(codes: str) -> list[str]:
+    """The runs of one code that make up codes, over at most 127 generators, found in C.
+
+    A code that differs from the one before it starts a run.  Each code
+    but the first is preceded by a marker, 0xFF where a run starts and
+    0xFE where it goes on; the 0xFE are deleted and the rest split at 0xFF.
+    """
+    raw = codes.encode("latin-1")
+    marked = bytearray(2 * len(raw) - 1)
+    marked[::2] = raw
+    marked[1::2] = _xor_previous(raw)[1:].translate(_RUN_MARKERS)
+    return marked.translate(None, b"\xfe").decode("latin-1").split("\xff")
+
+
+def _learn_run(run: str, alphabet: Alphabet) -> str:
+    """The text of a run of one code, kept in the alphabet's run memo under ``_has_room``."""
+    code = ord(run[0])
+    text = _run(alphabet.names[code >> 1], -len(run) if code & 1 else len(run))
+    memo = alphabet._run_texts
+    if _has_room(memo, run):
+        memo[run] = text
+    return text
 
 
 def _run(name: str, k: int) -> str:

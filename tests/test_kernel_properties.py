@@ -258,6 +258,39 @@ def test_parse_joins_over_a_wide_alphabet_as_brute_reduce(case):
         assert pairs_of_word(s.parse(format_pairs(alphabet.names, raw), alphabet)) == pairs
 
 
+# Warm alphabets by width; a fresh one of the same names is cold.  The codes of
+# 127 generators reach just below the marker bytes of ``words._runs``; 128 reach them.
+_FORMAT_ALPHABETS = {n: s.Alphabet(tuple(f"c{k}" for k in range(n))) for n in (1, 2, 3, 4, 127, 128, 300)}
+
+
+@st.composite
+def word_of_runs(draw):
+    """A width and 0 to 300 letters, in runs of one letter: short ones, and ones past 64 letters."""
+    n = draw(st.sampled_from(sorted(_FORMAT_ALPHABETS)))
+    gens = st.one_of(st.sampled_from((0, n - 1)), st.integers(0, n - 1))
+    lengths = st.one_of(st.integers(1, 3), st.integers(60, 100))
+    size = draw(st.one_of(st.integers(0, 20), st.integers(0, 300)))
+    raw = []
+    while len(raw) < size:
+        raw += [(draw(gens), draw(st.sampled_from((1, -1))))] * draw(lengths)
+    return n, raw[:size]
+
+
+@given(word_of_runs())
+@example((127, [(126, -1)] * 70 + [(126, 1)] + [(0, 1)] * 20))
+@example((128, [(127, -1)] * 15 + [(0, 1)]))
+def test_format_word_agrees_with_format_pairs_cold_and_warm(case):
+    # Both sides of the cutoff and of the 127-generator limit: runs found in C or by the loop.
+    n, raw = case
+    pairs = brute_reduce(raw)
+    for alphabet in (s.Alphabet(_FORMAT_ALPHABETS[n].names), _FORMAT_ALPHABETS[n]):
+        w = s.reduce(alphabet, raw)
+        for _ in range(2):  # learning its runs, then reading them
+            text = s.format_word(w)
+            assert text == format_pairs(alphabet.names, pairs)
+            assert s.parse(text, alphabet) == w
+
+
 def _basis_case(seed: int):
     rng = random.Random(seed)
     n, m = rng.randint(1, 3), rng.randint(1, 6)

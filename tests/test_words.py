@@ -11,6 +11,7 @@ import schreier as s
 from helpers import (
     all_reduced_words,
     brute_reduce,
+    format_pairs,
     pairs_of_word,
     random_word_pairs,
     shortlex_key,
@@ -227,8 +228,10 @@ def test_a_pickled_alphabet_keeps_only_its_names():
     # Another process hashes str differently, so a cached hash must not travel.
     a = s.Alphabet(("x", "y"))
     hash(s.parse("x y^-1", a))
+    assert str(s.parse("x y^-1", a)) == "x y^-1" and a._run_texts == {"\x00": "x", "\x03": "y^-1"}
     b = pickle.loads(pickle.dumps(a))
     assert b == a and vars(b) == {"names": ("x", "y")}
+    assert b._run_texts == {}  # a pickled alphabet carries no memo
 
 
 def test_parse_folds_exponents_before_building_letters():
@@ -323,6 +326,79 @@ def test_parse_memo_stays_bounded_under_racing_threads():
     assert not wrong
     # Threads that race past the size check can each add one token.
     assert s.words._TOKEN_MEMO_SIZE <= len(ab._tokens) <= s.words._TOKEN_MEMO_SIZE + threads
+
+
+# Over 100 generators, 200 codes x 64 lengths: more short runs than the run memo keeps.
+_HUNDRED = tuple(f"g{k}" for k in range(100))
+
+
+def _run_word(alphabet: s.Alphabet, code: int, k: int) -> tuple[s.Word, str]:
+    """The word of k letters of one code, then another generator, and its canonical text."""
+    pairs = [(code >> 1, -1 if code & 1 else 1)] * k + [(0 if code >> 1 else 1, 1)]
+    return s.reduce(alphabet, pairs), format_pairs(alphabet.names, pairs)
+
+
+def test_format_memo_is_bounded():
+    ab = s.Alphabet(_HUNDRED)
+    # 12,800 distinct runs, over both sides of the cutoff.
+    for code in range(200):
+        for k in range(1, 65):
+            w, text = _run_word(ab, code, k)
+            assert s.format_word(w) == text
+    memo = ab._run_texts
+    assert len(memo) == s.words._TOKEN_MEMO_SIZE == 4096
+    assert all(text == format_pairs(ab.names, [(ord(c) >> 1, -1 if ord(c) & 1 else 1) for c in run])
+               for run, text in memo.items())
+    w, text = _run_word(ab, 199, 64)  # a run the full memo lacks is spelt afresh
+    assert w.codes[:64] not in memo and s.format_word(w) == text and len(memo) == 4096
+
+
+def test_format_memo_keeps_no_run_over_64_letters():
+    # A run of 65 letters is never stored, even with room to spare, on a cold or a warm memo.
+    ab = s.Alphabet(("x", "y"))
+    for _ in range(2):
+        assert s.format_word(ab.word("x^65 y x^-64 y^-65 x^2")) == "x^65 y x^-64 y^-65 x^2"
+    assert ab._run_texts == {"\x02": "y", "\x01" * 64: "x^-64", "\x00\x00": "x^2"}
+
+
+def test_format_memo_stays_bounded_under_racing_threads():
+    ab, threads = s.Alphabet(_HUNDRED), 4
+    cases = [_run_word(ab, code, k) for code in range(200) for k in range(1, 65)]
+    wrong: list[str] = []
+
+    def format_range(offset):
+        for w, text in cases[offset::threads]:
+            if s.format_word(w) != text:
+                wrong.append(text)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=format_range, args=(i,)) for i in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert not wrong
+    # Threads that race past the size check can each add one run.
+    assert s.words._TOKEN_MEMO_SIZE <= len(ab._run_texts) <= s.words._TOKEN_MEMO_SIZE + threads
+
+
+def test_format_word_over_a_wide_alphabet_costs_the_word_not_the_alphabet():
+    # The first format over 100,001 generators learns two runs, not a text per code.
+    ab = s.Alphabet(tuple(f"x{k}" for k in range(100_001)))
+    w = s.Word(ab, [(100_000, 1), (7, -1)])
+    tracemalloc.start()
+    try:
+        text = s.format_word(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text == "x100000 x7^-1"
+    assert peak < 20_000
 
 
 def test_str_split_and_re_agree_on_whitespace():
