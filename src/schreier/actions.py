@@ -8,7 +8,7 @@ generator assignment to the whole group.
 from dataclasses import dataclass
 from functools import cached_property
 
-from .words import Alphabet, Letter, Word, _gather
+from .words import _TOKEN_MEMO_SIZE, Alphabet, Letter, Word, _gather
 
 __all__ = [
     "ActionParseError",
@@ -24,6 +24,13 @@ __all__ = [
 
 # Largest degree ``parse_action_text`` accepts; a file with no generators can claim any.
 MAX_DEGREE = 1_000_000
+# Most images an action's pair memo holds, summed over its pairs: 2 MB of
+# tuple slots, the size of an alphabet's two memos together.  A first guess:
+# it keeps all 2n(2n - 1) pairs of n generators while 2n(2n - 1) * degree <=
+# 2^18, as at two generators up to degree 21,845 and five up to 2,912, and
+# past that as many as fit.  It holds at most ``_TOKEN_MEMO_SIZE`` pairs, like
+# the alphabet's memos.
+_PAIR_MEMO_IMAGES = 1 << 18
 
 
 class ActionParseError(ValueError):
@@ -81,7 +88,17 @@ def _perm(images: tuple[int, ...]) -> Permutation:
 
 @dataclass(frozen=True)
 class FiniteAction:
-    """A right action on {0..degree-1} given by one permutation per generator."""
+    """A right action on {0..degree-1} given by one permutation per generator.
+
+    Its per-code image tuples, ``_steps``, are built on first use, and so
+    is one bounded memo, ``_pairs``: the image tuple of each two-letter
+    word ``perm_of_word`` has read, at most ``_TOKEN_MEMO_SIZE`` of them
+    and ``_PAIR_MEMO_IMAGES`` images in all.  Neither is a field, so
+    neither takes part in ``==``, ``hash``, ``repr``, ``asdict`` or a
+    pickle.  The memo is thread-safe as the alphabet's are: a pair always
+    maps to the same tuple, and threads racing past the size check can
+    each overfill it by one pair.
+    """
 
     alphabet: Alphabet
     degree: int
@@ -101,6 +118,9 @@ class FiniteAction:
                     f"permutation for {name!r} has degree {perm.degree}, expected {self.degree}"
                 )
 
+    def __reduce__(self):  # its fields alone, as for an Alphabet: the tables and the pair memo are rebuilt on use
+        return type(self), (self.alphabet, self.degree, self.gen_perms)
+
     @cached_property
     def _steps(self) -> tuple[tuple[int, ...], ...]:
         # One image tuple per letter code 2g + (sign < 0), in shortlex letter
@@ -113,6 +133,16 @@ class FiniteAction:
         if not 0 <= g < len(self.gen_perms) or sign not in (1, -1):
             raise ValueError(f"invalid letter {tuple(letter)} for {len(self.gen_perms)} generators")
         return self._steps[2 * g + (sign < 0)][point]
+
+    @cached_property
+    def _pairs(self) -> dict[str, tuple[int, ...]]:
+        """``perm_of_word``'s memo: the codes of a two-letter reduced word -> its image tuple."""
+        return {}
+
+    @cached_property
+    def _pair_room(self) -> int:
+        """How many pairs ``_pairs`` may hold: its store rule, with each pair's images ``degree`` of them."""
+        return min(_TOKEN_MEMO_SIZE, _PAIR_MEMO_IMAGES // self.degree)
 
 
 def evaluate(act: FiniteAction, point: int, w: Word) -> int:
@@ -128,16 +158,35 @@ def evaluate(act: FiniteAction, point: int, w: Word) -> int:
 
 
 def perm_of_word(act: FiniteAction, w: Word) -> Permutation:
-    """The permutation a word induces on all points at once: |w| - 1 gathers from its first letter's images."""
+    """The permutation a word induces on all points at once: one gather per pair of letters.
+
+    It starts from the first letter's images when |w| is odd, or the first
+    pair's when it is even, and gathers the rest a pair at a time through
+    the action's pair memo: ceil(|w|/2) - 1 gathers once the memo holds its
+    pairs, and one more for each pair it has to learn.
+    """
     if w.alphabet is not act.alphabet and w.alphabet != act.alphabet:
         raise ValueError("alphabet mismatch")
-    steps, codes = act._steps, w.codes
+    codes = w.codes
     if not codes:
         return Permutation.identity(act.degree)
-    images = steps[ord(codes[0])]
-    for code in map(ord, codes[1:]):
-        images = _gather(steps[code], images)
+    pairs = act._pairs
+    start = len(codes) & 1
+    images = act._steps[ord(codes[0])] if start else pairs.get(codes[:2]) or _learn_pair(act, codes[:2])
+    for i in range(2 - start, len(codes), 2):
+        pair = codes[i:i + 2]
+        images = _gather(pairs.get(pair) or _learn_pair(act, pair), images)
     return _perm(images)
+
+
+def _learn_pair(act: FiniteAction, pair: str) -> tuple[int, ...]:
+    """The image tuple of a two-letter word, by one gather, kept in the pair memo while it has room."""
+    steps = act._steps
+    images = _gather(steps[ord(pair[1])], steps[ord(pair[0])])
+    pairs = act._pairs
+    if len(pairs) < act._pair_room:
+        pairs[pair] = images
+    return images
 
 
 def _bfs(act: FiniteAction, base: int) -> tuple[list[int], dict[int, int], tuple[list[int], list[int], list[int]]]:

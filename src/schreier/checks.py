@@ -51,12 +51,23 @@ def _random_perm(rng: random.Random, degree: int) -> Permutation:
     return Permutation(tuple(images))
 
 
-def _random_raw(rng: random.Random, alphabet, max_len: int) -> list[tuple[int, int]]:
-    # Unreduced on purpose: cancellations are likely.
+def _below(bits, n: int) -> int:
+    """``randrange(n)`` for n >= 1, drawn from ``bits``, a bound ``getrandbits``, with randrange's
+    own draws and none of its wrapper calls: n.bit_length() bits, drawn again while they reach n."""
+    k = n.bit_length()
+    value = bits(k)
+    while value >= n:
+        value = bits(k)
+    return value
+
+
+def _random_raw(bits, alphabet, max_len: int) -> list[tuple[int, int]]:
+    # Unreduced on purpose: cancellations are likely.  The draws of
+    # (randrange(n), choice((1, -1))) per letter, after randrange(max_len + 1).
     n = len(alphabet)
     if n == 0:
         return []
-    return [(rng.randrange(n), rng.choice((1, -1))) for _ in range(rng.randrange(max_len + 1))]
+    return [(_below(bits, n), (1, -1)[_below(bits, 2)]) for _ in range(_below(bits, max_len + 1))]
 
 
 def _enumerable(n: int, max_len: int) -> bool:
@@ -103,6 +114,7 @@ def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: in
     if max_len > words.MAX_WORD_LENGTH:  # read now, as parse does, so the cap can be lowered
         raise ValueError(f"max_len must be at most {words.MAX_WORD_LENGTH}, got {max_len}")
     rng = random.Random(seed)
+    bits = rng.getrandbits  # all draws but the H-action's shuffles go through _below
     alphabet = act.alphabet
     n = len(alphabet)
     table, transversal = build_table(act, basepoint)
@@ -124,13 +136,13 @@ def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: in
     def rand_word():
         # After each letter code, every code but its inverse may follow, in
         # shortlex letter order: draw the rank of the next among those.
-        size, codes = rng.randrange(max_len + 1), []
+        size, codes = _below(bits, max_len + 1), []
         while n and len(codes) < size:
             if codes:
-                code = rng.randrange(2 * n - 1)
+                code = _below(bits, 2 * n - 1)
                 codes.append(code + (code >= codes[-1] ^ 1))
             else:
-                codes.append(rng.randrange(2 * n))
+                codes.append(_below(bits, 2 * n))
         return words._spell(alphabet, codes)
 
     def rand_h():
@@ -150,7 +162,7 @@ def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: in
     # words -----------------------------------------------------------------
     def words_reduce_idempotent():
         for _ in range(trials):
-            raw = _random_raw(rng, alphabet, 2 * max_len)
+            raw = _random_raw(bits, alphabet, 2 * max_len)
             w = words.reduce(alphabet, raw)
             _require(all(ord(a) ^ 1 != ord(b) for a, b in zip(w.codes, w.codes[1:])), "cancelling pair survived")
             _require(words.reduce(alphabet, w.letters) == w, "reduce is not idempotent")
@@ -193,8 +205,8 @@ def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: in
 
     def action_respects_reduction():
         for _ in range(trials):
-            raw = _random_raw(rng, alphabet, 2 * max_len)
-            p = rng.randrange(act.degree)
+            raw = _random_raw(bits, alphabet, 2 * max_len)
+            p = _below(bits, act.degree)
             folded = p
             for g, s in raw:
                 folded = act.step(folded, Letter(g, s))
@@ -385,7 +397,7 @@ def run_checks(act: FiniteAction, basepoint: int = 0, max_len: int = 5, seed: in
 
     def induce_tensor_generic():
         for _ in range(trials):
-            a = rng.randrange(h_degree)
+            a = _below(bits, h_degree)
             w_prior, g = rand_word(), rand_word()
             got = tensor_action_generic(sigma, table, transversal, basis, a, w_prior, g)
             start = ind.encode(a, coset_of(table, w_prior))

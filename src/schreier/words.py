@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property, total_ordering
 from itertools import filterfalse
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 __all__ = [
     "Alphabet",
@@ -47,6 +47,11 @@ __all__ = [
 MAX_WORD_LENGTH = 1_000_000
 # Most generators a word can use: its 2n letter codes are characters, and chr stops at 0x10FFFF.
 MAX_GENERATORS = (sys.maxunicode + 1) // 2
+# Most generators whose words are spelt from the alphabet's table of one
+# character per code.  Their codes stay below 256, whose characters chr keeps
+# ready; past that each character is a new string, so a word over a wider
+# alphabet is spelt from chr of its own codes and builds no table.
+_TABLE_MAX_GENERATORS = 128
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _NAME_RE = re.compile(_NAME + r"\Z")
@@ -74,6 +79,17 @@ class WordParseError(ValueError):
 
 class AlphabetTooWideError(ValueError):
     """Raised when a word is built over more than ``MAX_GENERATORS`` generators."""
+
+
+class _Flip(dict):
+    """An empty table that maps each code to the character of its inverse, chr(code ^ 1), as it is read:
+    indexed, or through str.translate, it reads as a table of every code would."""
+
+    def __missing__(self, code: int) -> str:
+        return chr(code ^ 1)
+
+
+_FLIP = _Flip()
 
 
 class Letter(NamedTuple):
@@ -119,13 +135,25 @@ class Alphabet:
 
     @cached_property
     def _chars(self) -> tuple[str, ...]:
-        """The character of each code: every word is spelt from it, so a wider alphabet (an H-action's) builds none."""
-        if len(self.names) > MAX_GENERATORS:
-            raise AlphabetTooWideError(f"a word can use at most {MAX_GENERATORS} generators, not {len(self.names)}")
+        """The character of each code, built when first read: an alphabet no word is built over (an H-action's) builds none."""
+        _check_width(self)
         return tuple(map(chr, range(2 * len(self.names))))
 
     @cached_property
-    def _flips(self) -> str:  # the str.translate table from each code to its inverse
+    def _char(self) -> Callable[[int], str]:
+        """The character of one code: read from ``_chars`` over at most ``_TABLE_MAX_GENERATORS``
+        generators, else ``chr`` itself, so a word over a wider alphabet costs its own codes only."""
+        if len(self.names) <= _TABLE_MAX_GENERATORS:
+            return self._chars.__getitem__
+        _check_width(self)
+        return chr
+
+    @cached_property
+    def _flips(self) -> str | dict:
+        """The str.translate table from each code to its inverse: over more than
+        ``_TABLE_MAX_GENERATORS`` generators, ``_FLIP``, which works each one out."""
+        if len(self.names) > _TABLE_MAX_GENERATORS:  # a word over it was built first, and so checked its width
+            return _FLIP
         return "".join(self._chars[code ^ 1] for code in range(len(self._chars)))
 
     @cached_property
@@ -213,6 +241,11 @@ class Word:
         return f"Word({format_word(self)!r})"
 
 
+def _check_width(alphabet: Alphabet) -> None:
+    if len(alphabet.names) > MAX_GENERATORS:
+        raise AlphabetTooWideError(f"a word can use at most {MAX_GENERATORS} generators, not {len(alphabet.names)}")
+
+
 def _word(alphabet: Alphabet, codes: str) -> Word:
     """Trusted constructor, with no O(len) validation: only for codes in range and reduced by construction."""
     w = object.__new__(Word)
@@ -223,6 +256,8 @@ def _word(alphabet: Alphabet, codes: str) -> Word:
 
 def _spell(alphabet: Alphabet, codes: list[int]) -> Word:
     """Trusted constructor from int letter codes, in range and reduced."""
+    if len(alphabet.names) > _TABLE_MAX_GENERATORS:
+        return _word(alphabet, "".join(map(alphabet._char, codes)))
     return _word(alphabet, "".join(_gather(alphabet._chars, codes)))
 
 
@@ -389,7 +424,7 @@ def _learn(token: str, alphabet: Alphabet) -> tuple[int, int] | None:
     memo = alphabet._tokens
     if factor is not None and _has_room(memo, token):
         gen, k = factor
-        memo[token] = factor if abs(k) > _TOKEN_MEMO_WIDTH else alphabet._chars[2 * gen + (k < 0)] * abs(k)
+        memo[token] = factor if abs(k) > _TOKEN_MEMO_WIDTH else alphabet._char(2 * gen + (k < 0)) * abs(k)
     return factor
 
 
@@ -469,8 +504,8 @@ def _fold(alphabet: Alphabet, factors: Iterable[tuple[int, int]]) -> Word:
             runs.append([gen, k])
     if sum(abs(k) for _, k in runs) > MAX_WORD_LENGTH:
         raise WordParseError(f"word longer than the limit of {MAX_WORD_LENGTH} letters")
-    chars = alphabet._chars
-    return _word(alphabet, "".join([chars[2 * gen + (k < 0)] * abs(k) for gen, k in runs]))
+    char = alphabet._char
+    return _word(alphabet, "".join([char(2 * gen + (k < 0)) * abs(k) for gen, k in runs]))
 
 
 def format_word(w: Word) -> str:

@@ -1,5 +1,8 @@
+import pickle
 import random
 import re
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -89,6 +92,56 @@ def test_perm_of_word_multiplicative():
         w = word_from_pairs(ab, random_word_pairs(rng, 2, 6))
         assert s.perm_of_word(CYCLE3, s.concat(v, w)) == \
             s.perm_of_word(CYCLE3, v).then(s.perm_of_word(CYCLE3, w))
+
+
+def test_pair_memo_room_is_4096_pairs_and_2_to_the_18_images():
+    rooms = {m: make_action(("x",), [list(range(m))])._pair_room for m in (1, 64, 65, 200, 2**18, 2**18 + 1)}
+    assert rooms == {1: 4096, 64: 4096, 65: 4032, 200: 1310, 2**18: 1, 2**18 + 1: 0}
+    # With no room, a word still costs its pairs' two gathers each, and the memo stays empty.
+    act = make_action(("x", "y"), [list(range(1, 2**18 + 1)) + [0], list(range(2**18 + 1))])
+    assert s.perm_of_word(act, act.alphabet.word("x^3 y^-1")).images[:2] == (3, 4) and act._pairs == {}
+
+
+def test_a_pickled_action_keeps_only_its_fields():
+    act = make_action(("x", "y"), [[1, 2, 0], [0, 2, 1]])
+    w = act.alphabet.word("x y^-1 x^2")
+    assert s.perm_of_word(act, w).images == (1, 0, 2) and len(act._pairs) == 2
+    twin = pickle.loads(pickle.dumps(act))
+    assert twin == act and not {"_steps", "_pairs"} & set(vars(twin))
+    assert s.perm_of_word(twin, w) == s.perm_of_word(act, w)
+
+
+def test_pair_memo_stays_bounded_under_racing_threads(monkeypatch):
+    # Room for 10 of the 56 pairs of 4 generators; each thread reads every pair and longer words.
+    monkeypatch.setattr(s.actions, "_PAIR_MEMO_IMAGES", 16 * 10)
+    rng, threads = random.Random(5), 4
+    act = make_action(("w", "x", "y", "z"), random_transitive_perms(rng, 4, 16))
+    ab = act.alphabet
+    pairs = [s.Word(ab, [(g, a), (h, b)]) for g in range(4) for a in (1, -1) for h in range(4) for b in (1, -1)
+             if (g, a) != (h, -b)]
+    cases = [(w, tuple(s.evaluate(act, q, w) for q in range(16)))
+             for w in pairs + [word_from_pairs(ab, random_word_pairs(rng, 4, 9)) for _ in range(200)]]
+    wrong: list[s.Word] = []
+
+    def run(offset):
+        for w, images in cases[offset:] + cases[:offset]:
+            if s.perm_of_word(act, w).images != images:
+                wrong.append(w)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=run, args=(i * 14,)) for i in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert not wrong
+    # Threads that race past the size check can each add one pair.
+    assert len(pairs) == 56 and 10 <= len(act._pairs) <= 10 + threads
 
 
 def test_evaluate_rejects_bad_input():

@@ -154,9 +154,8 @@ _DRAWS_SEED_0 = (
 )
 
 
-def test_the_draw_stream_is_pinned(monkeypatch):
-    # Any change to how the suite draws (rand_word, _random_raw, the
-    # H-action's shuffles) shifts this log, and with it every detail.
+def _draws(monkeypatch, act, **kwargs):
+    """run_checks' getrandbits log, as in ``_DRAWS_SEED_0``; every invariant must pass."""
     log = []
 
     class Logged(random.Random):
@@ -166,10 +165,48 @@ def test_the_draw_stream_is_pinned(monkeypatch):
             return value
 
     monkeypatch.setattr(schreier.checks.random, "Random", Logged)
-    act = make_action(("x", "y", "z"), [[1, 2, 0, 3], [0, 1, 3, 2], [3, 1, 2, 0]])
-    results = s.run_checks(act, max_len=3, seed=0, trials=1)
+    results = s.run_checks(act, **kwargs)
     assert all(r.passed for r in results), [r for r in results if not r.passed]
-    assert "".join(log) == _DRAWS_SEED_0
+    return "".join(log)
+
+
+def test_the_draw_stream_is_pinned(monkeypatch):
+    # Any change to how the suite draws (rand_word, _random_raw, the
+    # H-action's shuffles) shifts this log, and with it every detail.
+    act = make_action(("x", "y", "z"), [[1, 2, 0, 3], [0, 1, 3, 2], [3, 1, 2, 0]])
+    assert _draws(monkeypatch, act, max_len=3, seed=0, trials=1) == _DRAWS_SEED_0
+
+
+# The same log on a 1-generator action of degree 3, seed 0, three trials, at
+# max_len 0 and 1: each randrange(1) (a word length at max_len 0, and the
+# 2n - 1 = 1 choices of a letter after the first) still spends 1-bit draws.
+_DRAWS_ONE_GENERATOR = {
+    0: "2321232321101011111010111111101110101111111011101010111011111011111111111111111010101110111111101011"
+       "1010101011111110111110211111102011111111102011111011111111111011101111101011101111101011111010111110"
+       "11111010101110111111111010101110111011101111111011111111111010101111101022101020101110201111111010",
+    1: "2321232321202111111021232323211110212223232022202120232022232123232223222322232021202220232322212122"
+       "2021212122222320232221212322212023232223202022232122232322222022212323212022212223202023222020232320"
+       "2322102010232123222323211021222122202221232322202323222222212120222321212220212020232020222322212120"
+       "2022232023202320232023222323222221232222212223202320232222232321222121212222232223232321202122202122"
+       "222123202020222120222021232021212320202320",
+}
+
+
+@pytest.mark.parametrize("max_len", [0, 1])
+def test_the_draw_stream_is_pinned_at_its_edges(monkeypatch, max_len):
+    act = make_action(("x",), [[1, 2, 0]])
+    assert _draws(monkeypatch, act, max_len=max_len, seed=0, trials=3) == _DRAWS_ONE_GENERATOR[max_len]
+
+
+def test_the_suite_draws_what_randrange_and_choice_draw():
+    ours, theirs = random.Random(7), random.Random(7)
+    for n in [*range(1, 70), 1000, 2**20, 2**20 + 1]:
+        assert schreier.checks._below(ours.getrandbits, n) == theirs.randrange(n), n
+    for n, max_len in [(1, 0), (1, 1), (2, 10), (3, 6), (5, 33)]:
+        ab = s.Alphabet(tuple(f"g{i}" for i in range(n)))
+        raw = schreier.checks._random_raw(ours.getrandbits, ab, max_len)
+        assert raw == [(theirs.randrange(n), theirs.choice((1, -1))) for _ in range(theirs.randrange(max_len + 1))]
+    assert ours.getstate() == theirs.getstate()
 
 
 def _failures_with(monkeypatch, tamper):

@@ -385,6 +385,55 @@ def test_action_kernels_agree_with_ev_pairs(case):
             assert act.step(p, s.Letter(g, sign)) == ev_pairs(perms, p, ((g, sign),))
 
 
+@st.composite
+def action_and_words_for_the_pair_memo(draw):
+    """An action on 1-4 generators of degree 1-6, reduced words of 0-12 letters, and the pair memo's two caps."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    perms = [tuple(draw(st.permutations(range(m)))) for _ in range(n)]
+    words = []
+    for _ in range(draw(st.integers(1, 6))):
+        # Each next code is drawn by its rank among the 2n - 1 codes that do not cancel the last.
+        codes = [draw(st.integers(0, 2 * n - 1))] if draw(st.booleans()) else []
+        for rank in draw(st.lists(st.integers(0, 2 * n - 2), max_size=11)) if codes else ():
+            codes.append(rank + (rank >= codes[-1] ^ 1))
+        words.append(codes)
+    return perms, words, draw(st.integers(0, 6)), draw(st.integers(0, 40))
+
+
+@given(action_and_words_for_the_pair_memo())
+@example(([(0,)], [[], [0], [0, 0], [0, 0, 0]], 4, 40))
+def test_perm_of_word_through_the_pair_memo_agrees_with_evaluate(case):
+    perms, codes, size_cap, images_cap = case
+    alphabet = s.Alphabet(tuple("wxyz"[:len(perms)]))
+    m = len(perms[0])
+
+    def fresh():
+        return s.FiniteAction(alphabet, m, tuple(map(s.Permutation, perms)))
+
+    words = [s.words._spell(alphabet, c) for c in codes]
+    expected = [tuple(s.evaluate(fresh(), q, w) for q in range(m)) for w in words]
+    shared, unstored = fresh(), fresh()
+    unstored.__dict__["_pair_room"] = 0  # a store limit of 0: every pair costs its two gathers
+    for w, images in zip(words, expected):
+        assert s.perm_of_word(fresh(), w).images == images  # cold
+        assert s.perm_of_word(shared, w).images == images  # warming
+        assert s.perm_of_word(unstored, w).images == images
+    assert [s.perm_of_word(shared, w).images for w in words] == expected  # warm
+    assert not unstored._pairs
+    for pair, images in shared._pairs.items():
+        assert len(pair) == 2 and ord(pair[0]) ^ 1 != ord(pair[1])
+        assert images == tuple(s.evaluate(shared, q, s.words._word(alphabet, pair)) for q in range(m))
+    # The memo's bounds, at any caps: pairs and images both.
+    with mock.patch.object(s.actions, "_TOKEN_MEMO_SIZE", size_cap), \
+            mock.patch.object(s.actions, "_PAIR_MEMO_IMAGES", images_cap):
+        capped = fresh()
+        assert [s.perm_of_word(capped, w).images for w in words * 2] == expected * 2
+    assert len(capped._pairs) <= size_cap and sum(map(len, capped._pairs.values())) <= images_cap
+    # A warm memo is no part of the action's value.
+    assert shared == fresh() and hash(shared) == hash(fresh()) and repr(shared) == repr(fresh())
+    assert dataclasses.asdict(shared) == dataclasses.asdict(fresh())
+
+
 @given(action_and_word())
 def test_coset_kernels_agree_with_ev_pairs(case):
     perms, act, w, base = case

@@ -401,6 +401,31 @@ def test_format_word_over_a_wide_alphabet_costs_the_word_not_the_alphabet():
     assert peak < 20_000
 
 
+def test_a_word_over_a_wide_alphabet_spells_only_its_own_codes():
+    # Over 100,001 generators the first word, and its inverse and products,
+    # build no character per code of the alphabet (17.3 MB for a table).
+    ab = s.Alphabet(tuple(f"x{k}" for k in range(100_001)))
+    tracemalloc.start()
+    try:
+        w = s.Word(ab, [(100_000, 1), (7, -1)])
+        v = s.invert(w)
+        vw = s.concat(s.concat(v, s.single(ab, 3)), w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert w.codes == chr(200_000) + chr(15) and v.codes == chr(14) + chr(200_001)
+    assert vw.codes == chr(14) + chr(200_001) + chr(6) + chr(200_000) + chr(15)
+    assert s.concat(v, w).is_identity() and "_chars" not in vars(ab)
+    # An enumeration reads every code, and so the inverse table, by index.
+    ab = s.Alphabet(tuple(f"x{k}" for k in range(130)))
+    layers = [0] * 3
+    for u in s.iter_reduced_words(ab, 2):
+        layers[len(u)] += 1
+        assert all(ord(a) ^ 1 != ord(b) for a, b in zip(u.codes, u.codes[1:]))
+    assert layers == [1, 260, 260 * 259]
+
+
 def test_str_split_and_re_agree_on_whitespace():
     # parse splits tokens with str.split() and its scanner reads re's \s:
     # both must see the same code points as whitespace.
@@ -451,6 +476,12 @@ def test_words_over_too_wide_an_alphabet_raise_a_typed_error(monkeypatch):
     ]
     for build in builds:
         with pytest.raises(s.AlphabetTooWideError, match="at most 2 generators, not 3"):
+            build()
+    # Past 128 generators a word is spelt from chr of its own codes, with the same check.
+    monkeypatch.setattr(s.words, "MAX_GENERATORS", 129)
+    wider = s.Alphabet(tuple(f"g{i}" for i in range(130)))
+    for build in [lambda: s.Word(wider, [(129, 1)]), lambda: s.parse("g1 g2", wider), lambda: s.parse("1", wider)]:
+        with pytest.raises(s.AlphabetTooWideError, match="at most 129 generators, not 130"):
             build()
     assert issubclass(s.AlphabetTooWideError, ValueError) and str(XY.word("x y^-1")) == "x y^-1"
     assert str(s.identity(s.Alphabet(("x", "y")))) == "1"
