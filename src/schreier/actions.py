@@ -189,24 +189,26 @@ def _learn_pair(act: FiniteAction, pair: str) -> tuple[int, ...]:
     return images
 
 
-def _bfs(act: FiniteAction, base: int) -> tuple[list[int], dict[int, int], tuple[list[int], list[int], list[int]]]:
+def _bfs(act: FiniteAction, base: int) -> tuple[list[int], list[int | None], tuple[list[int], list[int], list[int]]]:
     """Breadth-first scan of the Schreier graph from base.
 
-    Returns the orbit points in discovery order, each point's position
-    in that order, and the BFS tree as a Schreier vector: per position,
+    Returns the orbit points in discovery order, a list of ``degree`` slots
+    holding each point's position in that order (None off the orbit), and
+    the BFS tree as a Schreier vector: per position,
     the parent position, the letter code 2·gen + (sign < 0) of the edge
     that first reached it and its depth (0, 0 and 0 for base).  Letters
     are tried in shortlex order, per generator and positive before negative.
     """
     steps = tuple(enumerate(act._steps))  # by letter code, in shortlex letter order
     points = [base]
-    index = {base: 0}
+    index: list[int | None] = [None] * act.degree
+    index[base] = 0
     parents, codes, depths = [0], [0], [0]
     for pos, p in enumerate(points):  # points grows as it is scanned
         depth = depths[pos] + 1
         for code, images in steps:
             q = images[p]
-            if q not in index:
+            if index[q] is None:
                 index[q] = len(points)
                 points.append(q)
                 parents.append(pos)

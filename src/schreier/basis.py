@@ -42,10 +42,11 @@ class _Sourced:
 class BasisElement(_Sourced):
     """One basis word t x (rep(tx))^-1 with its defining pair.
 
-    ``compute_basis`` leaves the word unbuilt, None in its slot, and
-    ``_source`` set to the alphabet, the transversal and the table's image
-    tuple per signed letter: the word is spelled out on first read, from t
-    and rep(tx) or their tree paths, in O(|t| + |rep(tx)|), and kept in its slot.
+    A basis from ``compute_basis`` spells out its elements with the word
+    unbuilt, None in its slot, and ``_source`` set to the alphabet, the
+    transversal and the table's image tuple per signed letter: the word is
+    spelled out on first read, from t and rep(tx) or their tree paths, in
+    O(|t| + |rep(tx)|), and kept in its slot.
     """
 
     coset: int
@@ -82,11 +83,14 @@ class SchreierBasis:
     basis element, or to None when the pair is degenerate.  It is
     determined by ``elements``, so equality and hashing leave it out.
     ``compute_basis`` keeps the positions in one coset-major list, ``_ks``,
-    with slot c·n + g for the pair (c, g), and spells out ``index`` from it
-    on first read, in O(m·n).  It also keeps the elements' shared
-    ``_source``, without which (built by hand, or by ``dataclasses.replace``)
-    ``rewrite``, ``expand``, ``restrict_to_h``, ``induce`` and
-    ``degenerate_count`` raise ValueError.
+    with slot c·n + g for the pair (c, g), and builds neither field:
+    ``elements`` and ``index`` are spelled out from ``_ks`` on first read,
+    each in O(m·n), and kept.  ``rewrite``, ``expand``, ``induce``,
+    ``restrict_to_h``, ``haction_from_action`` and ``degenerate_count``
+    read ``_ks`` and never build an element.  A computed basis also keeps
+    the elements' shared ``_source``, without which (built by hand, or by
+    ``dataclasses.replace``) ``rewrite``, ``expand``, ``restrict_to_h``,
+    ``induce`` and ``degenerate_count`` raise ValueError.
     """
 
     alphabet: Alphabet
@@ -95,7 +99,39 @@ class SchreierBasis:
     index: dict[tuple[int, int], int | None] = field(compare=False)
 
 
-# Set after the class is made, so ``index`` stays a field: a computed basis spells it out on first read and keeps it.
+def _pairs(basis: SchreierBasis) -> tuple[list[int], list[int]]:
+    """The coset and the generator of each basis element, two lists read off ``_ks`` by ``compress``: no element built.
+
+    Built once per basis and kept, for its readers: ``elements``, ``rewrite``'s tables and ``restrict_to_h``.
+    """
+    kept = basis.__dict__.get("_pairs")
+    if kept is None:
+        m, n = basis.num_cosets, len(basis.alphabet)
+        free = [k is not None for k in basis._ks]
+        cosets = compress(chain.from_iterable(map(repeat, range(m), repeat(n))), free)
+        kept = (list(cosets), list(compress(cycle(range(n)), free)))
+        object.__setattr__(basis, "_pairs", kept)
+    return kept
+
+
+def _spell_elements(basis: SchreierBasis) -> tuple[BasisElement, ...]:
+    cosets, gens = _pairs(basis)
+    elements = tuple(map(object.__new__, repeat(BasisElement, len(cosets))))
+    for put, values in ((BasisElement.coset.__set__, cosets), (BasisElement.gen.__set__, gens),
+                        (BasisElement.word.fset, repeat(None)), (_Sourced._source.__set__, repeat(basis._source))):
+        deque(map(put, elements, values), 0)  # the slots' own setters, one C call per field: no frozen check
+    return elements
+
+
+def _size(basis: SchreierBasis) -> int:
+    """Number of basis elements, counted on ``_ks`` when the basis has one, so no element is built."""
+    ks = basis.__dict__.get("_ks")
+    return len(basis.elements) if ks is None else len(ks) - ks.count(None)
+
+
+# Set after the class is made, so both stay fields: a computed basis spells each out on first read and keeps it.
+SchreierBasis.elements = cached_property(_spell_elements)
+SchreierBasis.elements.__set_name__(SchreierBasis, "elements")
 SchreierBasis.index = cached_property(lambda b: dict(zip(product(range(b.num_cosets), range(len(b.alphabet))), b._ks)))
 SchreierBasis.index.__set_name__(SchreierBasis, "index")
 
@@ -105,10 +141,11 @@ def compute_basis(table: CosetTable, transversal: SchreierTransversal) -> Schrei
 
     Raises InvariantError unless ``transversal`` is a Schreier transversal
     of ``table``.  Numbers the pairs in one coset-major list of m·n slots,
-    None at each tree edge, and builds no pair per slot: ``index`` is
-    spelled out on first read.  Words are built on first read, with no
-    reduction: t x rep(tx)^-1 cancels only if t ends in x^-1 or rep(tx)
-    ends in x, either making (t, x) a tree edge.
+    None at each tree edge, and builds no pair per slot and no element:
+    ``elements`` and ``index`` are spelled out on first read, in O(m·n).
+    Words are built on their own first read, with no reduction:
+    t x rep(tx)^-1 cancels only if t ends in x^-1 or rep(tx) ends in x,
+    either making (t, x) a tree edge.
     """
     alphabet, m = table.action.alphabet, table.num_cosets
     n = len(alphabet)
@@ -116,14 +153,8 @@ def compute_basis(table: CosetTable, transversal: SchreierTransversal) -> Schrei
     for c, g in _tree_edges(table, transversal):
         free[c * n + g] = False
     ks = [k - 1 if f else None for f, k in zip(free, accumulate(free))]
-    source = (alphabet, transversal, table.graph._steps)
-    elements = tuple(map(object.__new__, repeat(BasisElement, free.count(True))))
-    cosets = compress(chain.from_iterable(map(repeat, range(m), repeat(n))), free)
-    for put, values in ((BasisElement.coset.__set__, cosets), (BasisElement.gen.__set__, compress(cycle(range(n)), free)),
-                        (BasisElement.word.fset, repeat(None)), (_Sourced._source.__set__, repeat(source))):
-        deque(map(put, elements, values), 0)  # the slots' own setters, one C call per field: no frozen check
     basis = object.__new__(SchreierBasis)
-    basis.__dict__.update(alphabet=alphabet, num_cosets=m, elements=elements, _source=source, _ks=ks)
+    basis.__dict__.update(alphabet=alphabet, num_cosets=m, _source=(alphabet, transversal, table.graph._steps), _ks=ks)
     return basis
 
 

@@ -21,7 +21,7 @@ from .actions import (
     perm_of_word,
     read_action_file,
 )
-from .basis import compute_basis, degenerate_count
+from .basis import _pairs, compute_basis, degenerate_count
 from .checks import run_checks
 from .cosets import _texts, build_table, coset_of
 from .induce import haction_from_action, induce
@@ -99,11 +99,12 @@ def _cmd_transversal(args) -> int:
 def _cmd_basis(args) -> int:
     act, table, transversal = _setup(args)
     basis = compute_basis(table, transversal)
-    reps, basis_words = _texts(table, transversal, [(e.coset, e.gen) for e in basis.elements])
-    for k, (e, word) in enumerate(zip(basis.elements, basis_words)):
-        t, name = reps[e.coset], act.alphabet.names[e.gen]
+    cosets, gens = _pairs(basis)
+    reps, basis_words = _texts(table, transversal, zip(cosets, gens))
+    for k, (c, g, word) in enumerate(zip(cosets, gens, basis_words)):
+        t, name = reps[c], act.alphabet.names[g]
         _out(args, {"index": k, "rep": t, "generator": name, "word": word}, f"{k} {t} {name} {word}")
-    count, degenerate = len(basis.elements), degenerate_count(basis)
+    count, degenerate = len(cosets), degenerate_count(basis)
     expected = 1 + table.num_cosets * (len(act.alphabet) - 1)
     _out(args, {"count": count, "expected": expected, "degenerate": degenerate},
          f"count {count} expected {expected} degenerate {degenerate}")

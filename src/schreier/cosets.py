@@ -145,13 +145,18 @@ def build_table(act: FiniteAction, basepoint: int) -> tuple[CosetTable, Schreier
     Letters are tried in shortlex order (per generator, positive before
     negative), so each coset is first reached by its shortlex-least
     reduced word and every representative's parent word is already a
-    representative.  Points outside the orbit are ignored.
+    representative.  Points outside the orbit are ignored.  The graph's
+    image tuples, and each of its permutations' inverse, are gathered
+    from the action's through the orbit, two C calls per letter code.
     """
     if not 0 <= basepoint < act.degree:
         raise ValueError(f"basepoint {basepoint} out of range for degree {act.degree}")
     points, index, tree = _bfs(act, basepoint)
-    graph = FiniteAction(act.alphabet, len(points), tuple(
-        _perm(words._gather(index, words._gather(perm.images, points))) for perm in act.gen_perms))
+    steps = tuple(words._gather(index, words._gather(images, points)) for images in act._steps)
+    graph = FiniteAction(act.alphabet, len(points), tuple(map(_perm, steps[::2])))
+    graph.__dict__["_steps"] = steps
+    for perm, inverse in zip(graph.gen_perms, steps[1::2]):
+        perm.__dict__["inverse"] = _perm(inverse)  # its cached_property slot: no inversion loop on first read
     transversal = object.__new__(SchreierTransversal)
     transversal.__dict__.update(_alphabet=act.alphabet, _tree=tree)
     return CosetTable(act, basepoint, tuple(points), graph), transversal

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import actions, words
 from .actions import ActionParseError, FiniteAction, Permutation
-from .basis import InvariantError, SchreierBasis, _columns, _source, _tree_edges
+from .basis import InvariantError, SchreierBasis, _columns, _pairs, _size, _source, _tree_edges
 from .cosets import CosetTable, SchreierTransversal, coset_of
 from .rewrite import rewrite
 from .words import Word
@@ -65,9 +65,9 @@ class InducedAction:
 def induce(sigma: HAction, table: CosetTable, transversal: SchreierTransversal, basis: SchreierBasis) -> InducedAction:
     """Build the induced action of the whole group from an H-action on the basis of this table."""
     alphabet, tr, _ = _source(basis, table)
-    if len(sigma.perms) != len(basis.elements):
+    if len(sigma.perms) != _size(basis):
         raise ValueError(
-            f"H-action has {len(sigma.perms)} permutations, basis has {len(basis.elements)} elements"
+            f"H-action has {len(sigma.perms)} permutations, basis has {_size(basis)} elements"
         )
     m = table.num_cosets
     d = sigma.degree
@@ -134,11 +134,11 @@ def restrict_to_h(ind: InducedAction, basis: SchreierBasis) -> tuple[Permutation
     inverses = [dict(zip(fiber, range(d))) for fiber in fibers]
     steps = ind.base._steps
     perms = []
-    for e in basis.elements:
-        code = 2 * e.gen
+    for c, g in zip(*_pairs(basis)):
+        code = 2 * g
         try:
-            perms.append(actions._perm(words._gather(inverses[table_steps[code][e.coset]],
-                                                     words._gather(steps[code], fibers[e.coset]))))
+            perms.append(actions._perm(words._gather(inverses[table_steps[code][c]],
+                                                     words._gather(steps[code], fibers[c]))))
         except KeyError:
             raise InvariantError("basis word moved the coset coordinate") from None
     return tuple(perms)
@@ -174,7 +174,7 @@ def tensor_action_generic(
 
 def haction_from_action(file_act: FiniteAction, basis: SchreierBasis) -> HAction:
     """Interpret an action file whose generators are b0..b{k-1} as an H-action."""
-    expected = [f"b{k}" for k in range(len(basis.elements))]
+    expected = [f"b{k}" for k in range(_size(basis))]
     if file_act.alphabet._positions.keys() != set(expected):  # both sides distinct: equal sets, equal sorted lists
         want = f"generators must be exactly b0..b{len(expected) - 1}" if expected else "must have no generators"
         raise ActionParseError(f"H-action {want}, got {list(file_act.alphabet.names)}")

@@ -9,11 +9,10 @@ joins the walk back with no reduction.
 """
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable
 
 from . import words
-from .basis import SchreierBasis, _columns, _source
+from .basis import SchreierBasis, _columns, _pairs, _source
 from .cosets import CosetTable, SchreierTransversal, _tree_path, coset_of
 from .words import Word
 
@@ -92,14 +91,12 @@ def _tables(basis: SchreierBasis):
     kept = basis.__dict__.get("_tables")
     if kept is None:
         steps = _source(basis)[2]
-        size = len(basis.elements)
-        plus, minus = list(zip(range(size), repeat(1))), list(zip(range(size), repeat(-1)))
+        starts, gens = _pairs(basis)
         emits = []
-        for g, ks in enumerate(_columns(basis)):
-            emits += [tuple([None if k is None else plus[k] for k in ks]),
-                      words._gather([None if k is None else minus[k] for k in ks], steps[2 * g + 1])]
-        starts = [e.coset for e in basis.elements]
-        codes = [2 * e.gen for e in basis.elements]
+        for g, ks in enumerate(_columns(basis)):  # each k sits in one slot: one tuple per element and sign
+            emits += [tuple([None if k is None else (k, 1) for k in ks]),
+                      words._gather([None if k is None else (k, -1) for k in ks], steps[2 * g + 1])]
+        codes = [2 * g for g in gens]
         kept = (tuple(emits), (starts, codes, [steps[code][c] for c, code in zip(starts, codes)]))
         object.__setattr__(basis, "_tables", kept)
     return kept

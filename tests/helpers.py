@@ -1,4 +1,4 @@
-"""Independent oracles for the test suite, and a probe that counts the words the library builds.
+"""Independent oracles for the test suite, and probes that count the words and bases the library builds.
 
 Everything here works on raw (generator index, sign) pairs and plain
 permutation image lists, on purpose: these functions re-derive expected
@@ -229,6 +229,21 @@ def count_built_words(monkeypatch) -> list:
         return real(alphabet, letters)
 
     monkeypatch.setattr(schreier.words, "_word", counting)
+    return built
+
+
+def count_built_elements(monkeypatch) -> list:
+    """Record the size of every basis whose ``elements`` the library spells out from here on."""
+    built = []
+    lazy = schreier.SchreierBasis.elements
+    real = lazy.func
+
+    def counting(basis):
+        elements = real(basis)
+        built.append(len(elements))
+        return elements
+
+    monkeypatch.setattr(lazy, "func", counting)
     return built
 
 

@@ -1,11 +1,12 @@
 import dataclasses
+import pickle
 import random
 import tracemalloc
 
 import pytest
 
 import schreier as s
-from helpers import count_built_words, make_action, random_transitive_perms
+from helpers import count_built_elements, count_built_words, make_action, random_transitive_perms
 from schreier.basis import _tree_edges
 
 CYCLE3 = make_action(("x", "y"), [[1, 2, 0], [0, 1, 2]])
@@ -208,18 +209,58 @@ def test_the_index_is_a_plain_dict_spelled_out_on_first_read():
 
 
 def test_compute_basis_keeps_no_pair_per_slot():
-    # A dict keyed by (coset, generator) tuples peaks at 13 MB here; the coset-major list and the elements at 5 MB.
+    # A dict keyed by (coset, generator) tuples peaks at 13 MB here, the coset-major list with eager elements
+    # at 4.8 MB, and the list alone at 2.2 MB, or 3.4 MB once the elements are read.
     rng = random.Random(61)
     act = make_action(("x", "y"), [rng.sample(range(20_000), 20_000) for _ in range(2)])
     table, tr = s.build_table(act, 0)
     tracemalloc.start()
     try:
         basis = s.compute_basis(table, tr)
+        _, alone = tracemalloc.get_traced_memory()
+        assert "elements" not in basis.__dict__
+        assert len(basis.elements) == 1 + table.num_cosets
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(basis.elements) == 1 + table.num_cosets
+    assert alone < 3_000_000
     assert peak < 8_000_000
+
+
+def test_set_up_rewrite_and_induce_build_no_element(monkeypatch):
+    table, tr = s.build_table(CYCLE3, 0)
+    built = count_built_elements(monkeypatch)
+    basis = s.compute_basis(table, tr)
+    h = CYCLE3.alphabet.word("x y x^2")
+    assert s.expand(basis, s.rewrite(table, tr, basis, h)) == h
+    h_act = make_action(("b0", "b1", "b2", "b3"), [[1, 0], [0, 1], [1, 0], [0, 1]])
+    sigma = s.haction_from_action(h_act, basis)
+    ind = s.induce(sigma, table, tr, basis)
+    assert s.restrict_to_h(ind, basis) == sigma.perms and s.degenerate_count(basis) == 2
+    assert "elements" not in basis.__dict__ and built == []
+    assert len(basis.elements) == 4 and built == [4]  # spelled out on first read, once
+    assert basis.elements is basis.elements and built == [4]
+
+
+def test_an_unread_basis_equals_its_twin_built_by_hand():
+    table, tr = s.build_table(CYCLE3, 0)
+    read = s.compute_basis(table, tr)
+    by_hand = s.SchreierBasis(read.alphabet, read.num_cosets,
+                              tuple(s.BasisElement(e.coset, e.gen, e.word) for e in read.elements), dict(read.index))
+
+    def unread():
+        basis = s.compute_basis(table, tr)
+        assert "elements" not in basis.__dict__
+        return basis
+
+    assert unread() == by_hand and hash(unread()) == hash(by_hand)
+    assert repr(unread()) == repr(by_hand)
+    assert dataclasses.asdict(unread()) == dataclasses.asdict(by_hand)
+    assert dataclasses.replace(unread()) == by_hand
+    twin = pickle.loads(pickle.dumps(unread()))
+    assert "elements" not in twin.__dict__ and twin == by_hand
+    h = CYCLE3.alphabet.word("x y x^-1")
+    assert s.rewrite(table, tr, twin, h) == s.BWord(((2, 1),)) and s.expand(twin, [(2, 1)]) == h
 
 
 def test_reading_the_pair_of_a_basis_element_builds_no_word(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 
 import schreier as s
 import schreier.cli as cli
-from helpers import count_built_words, make_action
+from helpers import count_built_elements, count_built_words, make_action
 from schreier import CheckResult
 from schreier.cli import main
 
@@ -129,6 +129,23 @@ def test_listings_build_no_word(capsys, monkeypatch, tmp_path, command, lines):
     (tr,) = trees
     assert code == 0 and len(out.splitlines()) == lines
     assert "reps" not in tr.__dict__ and built == []
+
+
+@pytest.mark.parametrize("argv", [["rewrite", ACT, "x y x^2"], ["induce", ACT, HACT], ["basis", ACT],
+                                  ["member", ACT, "x y x^2"]], ids=lambda argv: argv[0])
+def test_commands_build_no_basis_element(capsys, monkeypatch, argv):
+    bases = []
+
+    def recording(table, transversal):
+        bases.append(s.compute_basis(table, transversal))
+        return bases[-1]
+
+    monkeypatch.setattr(cli, "compute_basis", recording)
+    built = count_built_elements(monkeypatch)
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and out
+    assert len(bases) == (argv[0] != "member") and built == []
+    assert all("elements" not in basis.__dict__ for basis in bases)
 
 
 def test_member_yes(capsys):

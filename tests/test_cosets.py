@@ -12,6 +12,7 @@ from helpers import (
     random_word_pairs,
     word_from_pairs,
 )
+from schreier.actions import _bfs
 
 CYCLE3 = make_action(("x", "y"), [[1, 2, 0], [0, 1, 2]])
 SWAP = make_action(("x", "y"), [[1, 0], [0, 1]])
@@ -61,6 +62,30 @@ def test_nontransitive_action_restricts_to_orbit():
     assert table.points == (0, 1) and table.num_cosets == 2
     table2, _ = s.build_table(act, 2)
     assert table2.points == (2,)
+
+
+# x cycles 0 -> 4 -> 2 -> 0 and y swaps 1 and 3: the orbit of 2 is {2, 0, 4}.
+OFF_ORBIT = make_action(("x", "y"), [[4, 1, 0, 3, 2], [0, 3, 2, 1, 4]])
+
+
+def test_bfs_keeps_a_list_index_with_none_off_the_orbit():
+    points, index, tree = _bfs(OFF_ORBIT, 2)
+    assert points == [2, 0, 4] and tree == ([0, 0, 0], [0, 0, 1], [0, 1, 1])
+    assert type(index) is list and index == [1, None, 0, None, 2]
+
+
+def test_the_graph_steps_and_inverses_are_gathered_from_the_action():
+    rng = random.Random(53)
+    acts = [OFF_ORBIT] + [make_action(tuple("xyz"), random_transitive_perms(rng, 3, 12)) for _ in range(5)]
+    for act in acts:
+        graph = s.build_table(act, 2)[0].graph
+        assert "_steps" in graph.__dict__
+        for g, perm in enumerate(graph.gen_perms):
+            assert "inverse" in perm.__dict__  # set with the steps, not inverted on first read
+            assert perm.images is graph._steps[2 * g] and perm.inverse.images is graph._steps[2 * g + 1]
+        # The same tuples as inverting each permutation point by point.
+        inverted = s.FiniteAction(graph.alphabet, graph.degree, tuple(s.Permutation(p.images) for p in graph.gen_perms))
+        assert graph._steps == inverted._steps
 
 
 def test_rep_and_coset_of_examples():

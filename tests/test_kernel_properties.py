@@ -618,6 +618,7 @@ def test_compute_basis_agrees_with_brute_reduce(case):
     perms, table, tr, raw = _build(case)
     basis = s.compute_basis(table, tr)
     elements, index = _basis_oracle(perms, table, tr)
+    assert "elements" not in basis.__dict__  # spelled out lazily, just below
     assert [(e.coset, e.gen, pairs_of_word(e.word)) for e in basis.elements] == elements
     assert basis.index == index
     assert type(basis.index) is dict and list(basis.index.items()) == list(index.items())
