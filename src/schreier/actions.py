@@ -291,6 +291,6 @@ def format_action_text(act: FiniteAction) -> str:
 
 
 def read_action_file(path) -> FiniteAction:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # drops the byte-order mark some editors write first
         return parse_action_text(fh.read())
 

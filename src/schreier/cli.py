@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when the math says no (a word outside the
 stabilizer, a failed invariant), 2 for unusable input (bad word syntax,
-malformed action files, missing files).
+malformed action files, missing files), 141 when the reader of stdout
+closed it early, as in ``schreier basis file | head -n 1``.
 
 Every subcommand accepts ``--format structured`` to emit JSON lines
 instead of the plain text described in the README.
@@ -233,7 +234,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed the pipe early shows here, not in the exit flush
+        return code
+    except BrokenPipeError:
+        # Stop as a shell reports a command stopped by SIGPIPE, 128 + 13, and send what is
+        # still buffered to devnull, so the interpreter's exit flush stays silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except NotInSubgroupError as exc:
         print(f"error: not in the subgroup (final coset {exc.final_coset})", file=sys.stderr)
         return 1

@@ -414,15 +414,18 @@ def _token_factors(tokens: list[str], alphabet: Alphabet) -> list[tuple[int, int
 
 
 def _learn(token: str, alphabet: Alphabet) -> tuple[int, int] | None:
-    """The token's (generator, exponent), or None if it is not one factor.
+    """The token's (generator, exponent), or None unless ``_scan_factors`` reads it as exactly one factor.
 
     A factor is kept in the token memo when ``_has_room`` allows, as its
     run of codes, ready to join, or as (generator, exponent) for a run
     longer than ``_TOKEN_MEMO_WIDTH``.
     """
-    factor = _token_factor(token, alphabet)
+    try:
+        (factor,) = _scan_factors(token, alphabet)
+    except ValueError:  # no factor (``1``), more than one (``x*y``), or a fault the scanner reports
+        return None
     memo = alphabet._tokens
-    if factor is not None and _has_room(memo, token):
+    if _has_room(memo, token):
         gen, k = factor
         memo[token] = factor if abs(k) > _TOKEN_MEMO_WIDTH else alphabet._char(2 * gen + (k < 0)) * abs(k)
     return factor
@@ -432,24 +435,6 @@ def _has_room(memo: dict, key: str) -> bool:
     """Both memos' store rule: a key of at most ``_TOKEN_MEMO_WIDTH`` characters, while the memo
     holds fewer than ``_TOKEN_MEMO_SIZE`` entries."""
     return len(memo) < _TOKEN_MEMO_SIZE and len(key) <= _TOKEN_MEMO_WIDTH
-
-
-def _token_factor(token: str, alphabet: Alphabet) -> tuple[int, int] | None:
-    """(generator, exponent) if the token is one factor the scanner accepts."""
-    m = _FACTOR_RE.fullmatch(token)
-    if m is None or m[3]:  # a separator in a token can only be a '*'
-        return None
-    name, digits, _ = m.groups()
-    gen = alphabet._positions.get(name)
-    if gen is None:
-        return None
-    if digits is None:
-        return gen, 1
-    try:
-        k = int(digits)
-    except ValueError:  # more digits than int() converts
-        return None
-    return (gen, k) if k else None
 
 
 def _scan_factors(text: str, alphabet: Alphabet) -> Iterator[tuple[int, int]]:

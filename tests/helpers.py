@@ -126,6 +126,56 @@ def bword_search(basis_words, target, max_factors: int):
     return hits
 
 
+def fold_bouquet(words, n: int) -> tuple[tuple, ...]:
+    """Stallings' folding of the bouquet of words, reduced letter tuples over n generators, in ``rooted_form``.
+
+    Each word is a loop of fresh vertices at the base.  While two edges of one
+    label leave, or enter, one vertex, their other ends are merged.  What is
+    left is the core graph of the subgroup the words generate, which fixes
+    that subgroup (Stallings 1983; Kapovich and Myasnikov 2002).
+    """
+    root, edges = [0], []  # union-find parents, a root its own; (tail, generator, head) per edge
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for word in words:
+        tail = 0
+        for i, (g, sign) in enumerate(word):
+            head = 0 if i == len(word) - 1 else len(root)
+            if head:
+                root.append(head)
+            edges.append((tail, g, head) if sign > 0 else (head, g, tail))
+            tail = head
+    merged = True
+    while merged:
+        merged, step = False, {}
+        for tail, g, head in edges:
+            for key, end in (((find(tail), 2 * g), head), ((find(head), 2 * g + 1), tail)):
+                seen, end = find(step.setdefault(key, find(end))), find(end)
+                if seen != end:
+                    root[seen], merged = end, True
+    return rooted_form(step, find(0), n)
+
+
+def rooted_form(step, base, n: int) -> tuple[tuple, ...]:
+    """A graph with at most one edge per (vertex, letter code), ``step``, up to isomorphisms that fix base.
+
+    Vertices are numbered breadth-first from base, codes 2g along and 2g + 1
+    against an edge of generator g in order; per generator, each vertex's head.
+    """
+    number, order = {base: 0}, [base]
+    for v in order:
+        for code in range(2 * n):
+            u = step.get((v, code))
+            if u is not None and u not in number:
+                number[u] = len(order)
+                order.append(u)
+    return tuple(tuple(number.get(step.get((v, 2 * g))) for v in order) for g in range(n))
+
+
 def random_word_pairs(rng: random.Random, n: int, max_len: int) -> Pairs:
     """Random reduced letters; rejection keeps adjacent pairs legal."""
     out: list = []

@@ -67,11 +67,13 @@ def test_all_pass_on_an_action_with_no_generators():
     assert all(r.passed for r in results), [r for r in results if not r.passed]
 
 
+def _dihedral(m):
+    return make_action(("x", "y"), [[(i + 1) % m for i in range(m)], [(-i) % m for i in range(m)]])
+
+
 def test_minimality_is_sampled_past_the_enumeration_cap():
     # Reps of the degree-22 dihedral action reach 11 letters: 354,293 reduced words, over the cap.
-    m = 22
-    act = make_action(("x", "y"), [[(i + 1) % m for i in range(m)], [(-i) % m for i in range(m)]])
-    results = s.run_checks(act, trials=20)
+    results = s.run_checks(_dihedral(22), trials=20)
     assert all(r.passed for r in results), [r for r in results if not r.passed]
     by_name = {r.name: r for r in results}
     assert by_name["transversal-shortlex-minimal"].detail == "sampled (instance too large for an exhaustive scan)"
@@ -297,6 +299,68 @@ def test_run_checks_reports_word_permutations_that_break_the_inverse_law(monkeyp
     act = make_action(("x", "y"), [[1, 2, 0], [0, 1, 2]])
     failures = {r.name: r.detail for r in s.run_checks(act, trials=20) if not r.passed}
     assert failures["action-homomorphism"] == "word permutations do not respect inverses"
+
+
+def _reps_off_the_tree(real):
+    # Coset 2 spelt x y x, whose prefix x y is no rep, in place of x^-1; the tree itself is untouched.
+    def build_table(act, basepoint):
+        table, tr = real(act, basepoint)
+        tr.__dict__["reps"] = (*tr.reps[:2], s.parse("x y x", act.alphabet))
+        return table, tr
+
+    return build_table
+
+
+def _rep_times_x22(real):
+    # x^22 fixes every point of the degree-22 dihedral action, so the coset stays and the rep grows.
+    def rep(table, tr, w):
+        return s.concat(real(table, tr, w), s.parse("x^22", w.alphabet))
+
+    return rep
+
+
+def _one_point_on(real):
+    def evaluate(act, point, w):
+        return (real(act, point, w) + 1) % act.degree
+
+    return evaluate
+
+
+def _expand_then_y(real):
+    def expand(basis, bw):
+        return s.concat(real(basis, bw), s.parse("y", basis.alphabet))
+
+    return expand
+
+
+def _rewrite_to_nothing(real):
+    def rewrite(table, tr, basis, w):
+        return real(table, tr, basis, s.identity(w.alphabet))
+
+    return rewrite
+
+
+# One row per failure line an invariant reaches only when the library name it calls through
+# schreier.checks is tampered with: the invariant, that name, the tamper, the action and the detail.
+# The dihedral action of degree 22 has its minimality scan sampled.
+_CYCLE3 = make_action(("x", "y"), [[1, 2, 0], [0, 1, 2]])
+_TAMPERED_CALLS = [
+    ("transversal-prefix-closed", "build_table", _reps_off_the_tree, _CYCLE3,
+     "prefix x y of x y x is not a representative"),
+    ("transversal-shortlex-minimal", "rep", _rep_times_x22, _dihedral(22), "rep x^21 is not minimal against y x^-1"),
+    ("basis-membership", "evaluate", _one_point_on, _CYCLE3, "basis word y does not fix the basepoint"),
+    ("rewrite-roundtrip", "expand", _expand_then_y, _CYCLE3, "round trip failed for x^-1 y x^-2"),
+    ("rewrite-empty-iff-identity", "expand", _expand_then_y, _CYCLE3, "round trip failed for 1"),
+    ("rewrite-empty-iff-identity", "rewrite", _rewrite_to_nothing, _CYCLE3, "empty rewrite for nonidentity y"),
+]
+
+
+@pytest.mark.parametrize("invariant,name,tamper,act,detail", _TAMPERED_CALLS,
+                         ids=[f"{row[0]}-{row[1]}" for row in _TAMPERED_CALLS])
+def test_run_checks_reports_a_tampered_library_call(monkeypatch, invariant, name, tamper, act, detail):
+    monkeypatch.setattr(schreier.checks, name, tamper(getattr(schreier.checks, name)))
+    result = {r.name: r for r in s.run_checks(act, trials=20)}[invariant]
+    assert (result.passed, result.detail) == (False, detail)
 
 
 @pytest.mark.parametrize("kwargs,message", [

@@ -227,6 +227,30 @@ def test_bad_action_file(capsys, tmp_path):
     assert code == 2 and "invalid permutation" in err
 
 
+def test_an_action_file_with_a_byte_order_mark_reads_as_without(capsys, tmp_path):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "act3cycle.txt").read_bytes())
+    assert run(capsys, ["transversal", str(path)]) == (0, golden("transversal.txt"), "")
+
+
+def test_a_stdout_pipe_closed_after_one_line_exits_141_with_nothing_on_stderr(tmp_path):
+    # About 180 kB of listing, so the child is still writing when the pipe closes.
+    m = 6000
+    path = tmp_path / "dihedral6000.txt"
+    path.write_text(f"degree {m}\ngenerators x y\nperm x {' '.join(str((i + 1) % m) for i in range(m))}\n"
+                    f"perm y {' '.join(str(-i % m) for i in range(m))}\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(s.__file__).resolve().parents[1]))
+    with open(tmp_path / "stderr.txt", "w+b") as err:
+        # Unbuffered, so readline takes the first line off the pipe and nothing more.
+        proc = subprocess.Popen([sys.executable, "-m", "schreier", "basis", str(path)], bufsize=0,
+                                stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=err, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err.seek(0)
+        assert (first, code, err.read()) == (b"0 1 y y\n", 141, b"")
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, ["basis", "no-such-file.txt"])
     assert code == 2 and "error:" in err

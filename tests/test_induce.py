@@ -128,6 +128,21 @@ def test_induce_checks_the_tree_of_any_transversal_but_the_basis_own(monkeypatch
     assert s.induce(sigma, table, copy, basis) == s.induce(sigma, table, tr, basis) and checked == [copy]
 
 
+def test_induce_and_check_claim_reject_another_schreier_transversal():
+    # x = (0 1 2), y = (1 2): 1, x, x^2 is a Schreier transversal, but x^2 walks the x edge
+    # out of coset 1, which is no tree edge of the BFS transversal 1, x, x^-1: its basis word is x^3.
+    table, tr, basis = setup_case(make_action(("x", "y"), [[1, 2, 0], [0, 2, 1]]))
+    x = s.parse("x", table.action.alphabet)
+    other = s.SchreierTransversal((tr.reps[0], x, s.concat(x, x)))
+    assert [str(r) for r in tr.reps] == ["1", "x", "x^-1"]
+    assert len(s.compute_basis(table, other).elements) == 4
+    sigma = s.HAction(2, (s.Permutation((1, 0)),) * len(basis.elements))
+    with pytest.raises(s.InvariantError, match="^transversal words must move cosets without touching A$"):
+        s.induce(sigma, table, other, basis)
+    ind = s.induce(sigma, table, tr, basis)
+    assert s.check_claim(ind, tr) and not s.check_claim(ind, other)
+
+
 def test_check_claim_refuses_another_alphabet():
     ind, other_tr, _ = _over_another_alphabet()
     for transversal in (other_tr, s.SchreierTransversal(other_tr.reps)):

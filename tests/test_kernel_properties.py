@@ -25,6 +25,7 @@ from helpers import (
     claim_by_words,
     ev_pairs,
     expand_pairs,
+    fold_bouquet,
     format_pairs,
     make_action,
     orbit_of,
@@ -33,6 +34,7 @@ from helpers import (
     random_transitive_perms,
     restrict_by_words,
     rewrite_by_words,
+    rooted_form,
     scan_by_words,
     shortlex_key,
     word_from_pairs,
@@ -626,6 +628,35 @@ def test_compute_basis_agrees_with_brute_reduce(case):
     u = s.reduce(table.action.alphabet, raw)
     h = s.concat(u, s.invert(s.rep(table, tr, u)))
     assert s.expand(basis, s.rewrite(table, tr, basis, h)) == h
+
+
+def _schreier_graph(table) -> tuple[tuple, ...]:
+    """``table.graph`` in ``rooted_form``, from coset 0."""
+    step = {}
+    for g, perm in enumerate(table.graph.gen_perms):
+        for c, c2 in enumerate(perm.images):
+            step[c, 2 * g], step[c2, 2 * g + 1] = c2, c
+    return rooted_form(step, 0, len(table.graph.alphabet))
+
+
+@given(action_with_transversals())
+def test_the_basis_folds_to_the_schreier_graph(case):
+    # The fold of a generating set of H is H's core graph, the whole Schreier graph at finite index: so B generates H.
+    _, table, tr, _ = _build(case)
+    basis_words = [pairs_of_word(e.word) for e in s.compute_basis(table, tr).elements]
+    assert fold_bouquet(basis_words, len(table.graph.alphabet)) == _schreier_graph(table)
+
+
+@given(action_with_transversals())
+def test_the_fold_keeps_a_nielsen_move_and_sees_a_square(case):
+    # b0 -> b0 b1 generates the same subgroup; b0 -> b0^2 a proper one, since b0 is free over the rest.
+    _, table, tr, _ = _build(case)
+    b = [pairs_of_word(e.word) for e in s.compute_basis(table, tr).elements]
+    n, graph = len(table.graph.alphabet), _schreier_graph(table)
+    if len(b) >= 2:
+        assert fold_bouquet([brute_reduce(b[0] + b[1]), *b[1:]], n) == graph
+    if b:
+        assert fold_bouquet([brute_reduce(b[0] + b[0]), *b[1:]], n) != graph
 
 
 def _tampered_transversals(tr):
