@@ -62,7 +62,7 @@ def _read_word(e: BasisElement, get=BasisElement.word.__get__, put=BasisElement.
         c, d = e.coset, steps[code][e.coset]
         if "reps" in tr.__dict__:  # spelled out already: two strings join faster than two tree paths climb
             t, u = tr.reps[c].codes, tr.reps[d].codes
-            word = words._word(alphabet, t + alphabet._chars[code] + u[::-1].translate(alphabet._flips))
+            word = words._word(alphabet, t + alphabet._char(code) + u[::-1].translate(alphabet._flips))
         else:
             walk = _tree_path(tr._tree, 0, c, [])
             walk.append(code)

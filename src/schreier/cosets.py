@@ -72,10 +72,10 @@ class SchreierTransversal:
 
 def _spell_reps(transversal: SchreierTransversal) -> tuple[Word, ...]:
     parents, codes, _ = transversal._tree
-    texts, chars = [""], transversal._alphabet._chars
+    texts, char = [""], transversal._alphabet._char
     for c in range(1, len(parents)):
         # Never cancels: undoing the parent's last letter leads to an earlier coset.
-        texts.append(texts[parents[c]] + chars[codes[c]])
+        texts.append(texts[parents[c]] + char(codes[c]))
     return tuple(words._word(transversal._alphabet, t) for t in texts)
 
 

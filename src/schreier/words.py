@@ -47,11 +47,13 @@ __all__ = [
 MAX_WORD_LENGTH = 1_000_000
 # Most generators a word can use: its 2n letter codes are characters, and chr stops at 0x10FFFF.
 MAX_GENERATORS = (sys.maxunicode + 1) // 2
-# Most generators whose words are spelt from the alphabet's table of one
-# character per code.  Their codes stay below 256, whose characters chr keeps
-# ready; past that each character is a new string, so a word over a wider
-# alphabet is spelt from chr of its own codes and builds no table.
-_TABLE_MAX_GENERATORS = 128
+# Most generators whose 2n letter codes fit in a byte below the markers 0xFE
+# and 0xFF of ``_runs``.  Their words are spelt from the alphabet's table of
+# one character per code, whose characters chr keeps ready below 256, and
+# formatted by finding their runs in C.  Past it each character is a new
+# string, so a word over a wider alphabet is spelt from chr of its own codes
+# and builds no table, and its runs are found by a loop.
+_BYTE_MAX_GENERATORS = 127
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _NAME_RE = re.compile(_NAME + r"\Z")
@@ -66,9 +68,6 @@ _TOKEN_MEMO_WIDTH = 64
 # Words shorter than this many letters are formatted by a loop over their
 # runs, which beats finding the runs in C below it.
 _FORMAT_LOOP_BELOW = 16
-# ``_runs`` marks each code 0xFF where a run starts and 0xFE where it goes
-# on: the codes of at most 127 generators stay below the markers.
-_RUNS_MAX_GENERATORS = 127
 # The bytes.translate table from a code XOR the code before it to its marker.
 _RUN_MARKERS = b"\xfe" + b"\xff" * 255
 
@@ -141,9 +140,9 @@ class Alphabet:
 
     @cached_property
     def _char(self) -> Callable[[int], str]:
-        """The character of one code: read from ``_chars`` over at most ``_TABLE_MAX_GENERATORS``
+        """The character of one code: read from ``_chars`` over at most ``_BYTE_MAX_GENERATORS``
         generators, else ``chr`` itself, so a word over a wider alphabet costs its own codes only."""
-        if len(self.names) <= _TABLE_MAX_GENERATORS:
+        if len(self.names) <= _BYTE_MAX_GENERATORS:
             return self._chars.__getitem__
         _check_width(self)
         return chr
@@ -151,8 +150,8 @@ class Alphabet:
     @cached_property
     def _flips(self) -> str | dict:
         """The str.translate table from each code to its inverse: over more than
-        ``_TABLE_MAX_GENERATORS`` generators, ``_FLIP``, which works each one out."""
-        if len(self.names) > _TABLE_MAX_GENERATORS:  # a word over it was built first, and so checked its width
+        ``_BYTE_MAX_GENERATORS`` generators, ``_FLIP``, which works each one out."""
+        if len(self.names) > _BYTE_MAX_GENERATORS:  # a word over it was built first, and so checked its width
             return _FLIP
         return "".join(self._chars[code ^ 1] for code in range(len(self._chars)))
 
@@ -256,7 +255,7 @@ def _word(alphabet: Alphabet, codes: str) -> Word:
 
 def _spell(alphabet: Alphabet, codes: list[int]) -> Word:
     """Trusted constructor from int letter codes, in range and reduced."""
-    if len(alphabet.names) > _TABLE_MAX_GENERATORS:
+    if len(alphabet.names) > _BYTE_MAX_GENERATORS:
         return _word(alphabet, "".join(map(alphabet._char, codes)))
     return _word(alphabet, "".join(_gather(alphabet._chars, codes)))
 
@@ -504,7 +503,7 @@ def format_word(w: Word) -> str:
     """
     codes, alphabet = w.codes, w.alphabet
     memo, end = alphabet._run_texts, len(codes)
-    if end >= _FORMAT_LOOP_BELOW and len(alphabet.names) <= _RUNS_MAX_GENERATORS:
+    if end >= _FORMAT_LOOP_BELOW and len(alphabet.names) <= _BYTE_MAX_GENERATORS:
         runs = _runs(codes)
         try:
             return " ".join(map(memo.__getitem__, runs))

@@ -224,6 +224,11 @@ def make_action(names, image_lists) -> FiniteAction:
                         tuple(Permutation(tuple(im)) for im in image_lists))
 
 
+def dihedral(m: int) -> FiniteAction:
+    """The dihedral action of degree m: x is i -> i + 1 and y is i -> -i, mod m."""
+    return make_action(("x", "y"), [[(i + 1) % m for i in range(m)], [-i % m for i in range(m)]])
+
+
 def word_from_pairs(alphabet: Alphabet, pairs) -> Word:
     # Pairs are already reduced in every oracle that produces them.
     return Word(alphabet, tuple(Letter(g, s) for g, s in pairs))

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 import schreier as s
-from helpers import count_built_elements, count_built_words, make_action, random_transitive_perms
+from helpers import count_built_elements, count_built_words, dihedral, make_action, random_transitive_perms
 from schreier.basis import _tree_edges
 
 CYCLE3 = make_action(("x", "y"), [[1, 2, 0], [0, 1, 2]])
@@ -227,6 +227,26 @@ def test_compute_basis_keeps_no_pair_per_slot():
     assert peak < 8_000_000
 
 
+def test_reps_and_basis_words_over_a_wide_alphabet_spell_only_their_own_codes():
+    # Over 100,001 generators a table of one character per code peaks at 17.5 MB.
+    n = 100_001
+    fix, swap = s.Permutation((0, 1)), s.Permutation((1, 0))
+    act = s.FiniteAction(s.Alphabet(tuple(f"x{k}" for k in range(n))), 2, (fix,) * (n - 1) + (swap,))
+    table, tr = s.build_table(act, 0)
+    basis = s.compute_basis(table, tr)
+    elements = basis.elements
+    tracemalloc.start()
+    try:
+        reps = tr.reps
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert [r.codes for r in reps] == ["", chr(2 * n - 2)]
+    # The reps are spelled out, so the last element, (1, x100000), joins them.
+    assert elements[-1].word.codes == 2 * chr(2 * n - 2) and "_chars" not in vars(act.alphabet)
+
+
 def test_set_up_rewrite_and_induce_build_no_element(monkeypatch):
     table, tr = s.build_table(CYCLE3, 0)
     built = count_built_elements(monkeypatch)
@@ -343,11 +363,7 @@ def test_a_basis_takes_an_equal_table_that_is_another_object(step):
     assert s.induce(sigma, twin, twin_tr, basis) == s.induce(sigma, table, tr, basis)
 
 
-def _dihedral(m):
-    return make_action(("x", "y"), [[(i + 1) % m for i in range(m)], [(-i) % m for i in range(m)]])
-
-
-DIHEDRAL = _dihedral(2000)
+DIHEDRAL = dihedral(2000)
 
 
 def test_set_up_rewrite_and_induce_build_no_word(monkeypatch):
@@ -387,7 +403,7 @@ def test_expand_builds_only_the_words_of_its_factors(monkeypatch):
 def test_a_tree_from_another_table_is_rejected():
     _, tr = s.build_table(DIHEDRAL, 0)
     x, y = DIHEDRAL.gen_perms
-    for act in (make_action(("x", "y"), [y.images, x.images]), _dihedral(1999)):
+    for act in (make_action(("x", "y"), [y.images, x.images]), dihedral(1999)):
         table, own = s.build_table(act, 0)
         basis = s.compute_basis(table, own)
         sigma = s.HAction(1, (s.Permutation((0,)),) * len(basis.elements))

@@ -5,7 +5,7 @@ import pytest
 
 import schreier as s
 import schreier.checks
-from helpers import make_action, random_transitive_perms
+from helpers import dihedral, make_action, random_transitive_perms
 
 EXPECTED_NAMES = [
     "words-reduce-idempotent",
@@ -67,13 +67,9 @@ def test_all_pass_on_an_action_with_no_generators():
     assert all(r.passed for r in results), [r for r in results if not r.passed]
 
 
-def _dihedral(m):
-    return make_action(("x", "y"), [[(i + 1) % m for i in range(m)], [(-i) % m for i in range(m)]])
-
-
 def test_minimality_is_sampled_past_the_enumeration_cap():
     # Reps of the degree-22 dihedral action reach 11 letters: 354,293 reduced words, over the cap.
-    results = s.run_checks(_dihedral(22), trials=20)
+    results = s.run_checks(dihedral(22), trials=20)
     assert all(r.passed for r in results), [r for r in results if not r.passed]
     by_name = {r.name: r for r in results}
     assert by_name["transversal-shortlex-minimal"].detail == "sampled (instance too large for an exhaustive scan)"
@@ -347,7 +343,7 @@ _CYCLE3 = make_action(("x", "y"), [[1, 2, 0], [0, 1, 2]])
 _TAMPERED_CALLS = [
     ("transversal-prefix-closed", "build_table", _reps_off_the_tree, _CYCLE3,
      "prefix x y of x y x is not a representative"),
-    ("transversal-shortlex-minimal", "rep", _rep_times_x22, _dihedral(22), "rep x^21 is not minimal against y x^-1"),
+    ("transversal-shortlex-minimal", "rep", _rep_times_x22, dihedral(22), "rep x^21 is not minimal against y x^-1"),
     ("basis-membership", "evaluate", _one_point_on, _CYCLE3, "basis word y does not fix the basepoint"),
     ("rewrite-roundtrip", "expand", _expand_then_y, _CYCLE3, "round trip failed for x^-1 y x^-2"),
     ("rewrite-empty-iff-identity", "expand", _expand_then_y, _CYCLE3, "round trip failed for 1"),

@@ -8,7 +8,7 @@ import pytest
 
 import schreier as s
 import schreier.cli as cli
-from helpers import count_built_elements, count_built_words, make_action
+from helpers import count_built_elements, count_built_words, dihedral
 from schreier import CheckResult
 from schreier.cli import main
 
@@ -114,8 +114,7 @@ def test_listings_build_no_word(capsys, monkeypatch, tmp_path, command, lines):
     # The reps of this dihedral action reach m/2 letters; the listings spell them from the tree.
     m = 40
     path = tmp_path / "dihedral.txt"
-    act = make_action(("x", "y"), [[(i + 1) % m for i in range(m)], [(-i) % m for i in range(m)]])
-    path.write_text(s.format_action_text(act), encoding="utf-8")
+    path.write_text(s.format_action_text(dihedral(m)), encoding="utf-8")
     trees = []
 
     def recording(act, base):
@@ -237,8 +236,7 @@ def test_a_stdout_pipe_closed_after_one_line_exits_141_with_nothing_on_stderr(tm
     # About 180 kB of listing, so the child is still writing when the pipe closes.
     m = 6000
     path = tmp_path / "dihedral6000.txt"
-    path.write_text(f"degree {m}\ngenerators x y\nperm x {' '.join(str((i + 1) % m) for i in range(m))}\n"
-                    f"perm y {' '.join(str(-i % m) for i in range(m))}\n")
+    path.write_text(s.format_action_text(dihedral(m)))
     env = dict(os.environ, PYTHONPATH=str(Path(s.__file__).resolve().parents[1]))
     with open(tmp_path / "stderr.txt", "w+b") as err:
         # Unbuffered, so readline takes the first line off the pipe and nothing more.
