@@ -37,6 +37,20 @@ class ActionParseError(ValueError):
     """Raised when an action file does not match the file format."""
 
 
+class _Pairs(dict):
+    """``perm_of_word``'s memo: the codes of a two-letter reduced word -> its image tuple,
+    found by one gather on first read and kept while the memo holds fewer than ``room`` pairs."""
+
+    def __init__(self, steps: tuple[tuple[int, ...], ...], room: int):
+        self._steps, self.room = steps, room
+
+    def __missing__(self, pair: str) -> tuple[int, ...]:
+        images = _gather(self._steps[ord(pair[1])], self._steps[ord(pair[0])])
+        if len(self) < self.room:
+            self[pair] = images
+        return images
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A bijection of {0..m-1}; ``images[i]`` is the image of i."""
@@ -92,8 +106,9 @@ class FiniteAction:
 
     Its per-code image tuples, ``_steps``, are built on first use, and so
     is one bounded memo, ``_pairs``: the image tuple of each two-letter
-    word ``perm_of_word`` has read, at most ``_TOKEN_MEMO_SIZE`` of them
-    and ``_PAIR_MEMO_IMAGES`` images in all.  Neither is a field, so
+    word ``perm_of_word`` has read, learned on a miss and kept while it
+    holds fewer than ``_pair_room`` pairs, at most ``_TOKEN_MEMO_SIZE`` of
+    them and ``_PAIR_MEMO_IMAGES`` images in all.  Neither is a field, so
     neither takes part in ``==``, ``hash``, ``repr``, ``asdict`` or a
     pickle.  The memo is thread-safe as the alphabet's are: a pair always
     maps to the same tuple, and threads racing past the size check can
@@ -135,9 +150,9 @@ class FiniteAction:
         return self._steps[2 * g + (sign < 0)][point]
 
     @cached_property
-    def _pairs(self) -> dict[str, tuple[int, ...]]:
-        """``perm_of_word``'s memo: the codes of a two-letter reduced word -> its image tuple."""
-        return {}
+    def _pairs(self) -> _Pairs:
+        """``perm_of_word``'s memo: see ``_Pairs``."""
+        return _Pairs(self._steps, self._pair_room)
 
     @cached_property
     def _pair_room(self) -> int:
@@ -172,21 +187,10 @@ def perm_of_word(act: FiniteAction, w: Word) -> Permutation:
         return Permutation.identity(act.degree)
     pairs = act._pairs
     start = len(codes) & 1
-    images = act._steps[ord(codes[0])] if start else pairs.get(codes[:2]) or _learn_pair(act, codes[:2])
+    images = act._steps[ord(codes[0])] if start else pairs[codes[:2]]
     for i in range(2 - start, len(codes), 2):
-        pair = codes[i:i + 2]
-        images = _gather(pairs.get(pair) or _learn_pair(act, pair), images)
+        images = _gather(pairs[codes[i:i + 2]], images)
     return _perm(images)
-
-
-def _learn_pair(act: FiniteAction, pair: str) -> tuple[int, ...]:
-    """The image tuple of a two-letter word, by one gather, kept in the pair memo while it has room."""
-    steps = act._steps
-    images = _gather(steps[ord(pair[1])], steps[ord(pair[0])])
-    pairs = act._pairs
-    if len(pairs) < act._pair_room:
-        pairs[pair] = images
-    return images
 
 
 def _bfs(act: FiniteAction, base: int) -> tuple[list[int], list[int | None], tuple[list[int], list[int], list[int]]]:

@@ -87,10 +87,11 @@ class SchreierBasis:
     ``elements`` and ``index`` are spelled out from ``_ks`` on first read,
     each in O(m·n), and kept.  ``rewrite``, ``expand``, ``induce``,
     ``restrict_to_h``, ``haction_from_action`` and ``degenerate_count``
-    read ``_ks`` and never build an element.  A computed basis also keeps
-    the elements' shared ``_source``, without which (built by hand, or by
-    ``dataclasses.replace``) ``rewrite``, ``expand``, ``restrict_to_h``,
-    ``induce`` and ``degenerate_count`` raise ValueError.
+    read ``_ks`` or ``_edges`` and never build an element.  A computed
+    basis also keeps the elements' shared ``_source``, without which (built
+    by hand, or by ``dataclasses.replace``) ``rewrite``, ``expand``,
+    ``restrict_to_h``, ``induce``, ``haction_from_action`` and
+    ``degenerate_count`` raise ValueError.
     """
 
     alphabet: Alphabet
@@ -98,24 +99,24 @@ class SchreierBasis:
     elements: tuple[BasisElement, ...]
     index: dict[tuple[int, int], int | None] = field(compare=False)
 
+    @cached_property
+    def _edges(self) -> tuple[list[int], list[int], list[int]]:
+        """Per basis element, its edge c -x-> cx in three lists: start coset c, generator x and end coset cx.
 
-def _pairs(basis: SchreierBasis) -> tuple[list[int], list[int]]:
-    """The coset and the generator of each basis element, two lists read off ``_ks`` by ``compress``: no element built.
-
-    Built once per basis and kept, for its readers: ``elements``, ``rewrite``'s tables and ``restrict_to_h``.
-    """
-    kept = basis.__dict__.get("_pairs")
-    if kept is None:
-        m, n = basis.num_cosets, len(basis.alphabet)
-        free = [k is not None for k in basis._ks]
-        cosets = compress(chain.from_iterable(map(repeat, range(m), repeat(n))), free)
-        kept = (list(cosets), list(compress(cycle(range(n)), free)))
-        object.__setattr__(basis, "_pairs", kept)
-    return kept
+        Read off ``_ks`` by ``compress`` and off the table's steps, with no
+        element built, once per basis, for its readers: ``elements``,
+        ``expand``, ``restrict_to_h`` and the CLI's listing.  ValueError for
+        a basis not from ``compute_basis``.
+        """
+        steps, m, n = _source(self)[2], self.num_cosets, len(self.alphabet)
+        free = [k is not None for k in self._ks]
+        cosets = list(compress(chain.from_iterable(map(repeat, range(m), repeat(n))), free))
+        gens = list(compress(cycle(range(n)), free))
+        return cosets, gens, [steps[2 * g][c] for c, g in zip(cosets, gens)]
 
 
 def _spell_elements(basis: SchreierBasis) -> tuple[BasisElement, ...]:
-    cosets, gens = _pairs(basis)
+    cosets, gens, _ = basis._edges
     elements = tuple(map(object.__new__, repeat(BasisElement, len(cosets))))
     for put, values in ((BasisElement.coset.__set__, cosets), (BasisElement.gen.__set__, gens),
                         (BasisElement.word.fset, repeat(None)), (_Sourced._source.__set__, repeat(basis._source))):
@@ -124,9 +125,8 @@ def _spell_elements(basis: SchreierBasis) -> tuple[BasisElement, ...]:
 
 
 def _size(basis: SchreierBasis) -> int:
-    """Number of basis elements, counted on ``_ks`` when the basis has one, so no element is built."""
-    ks = basis.__dict__.get("_ks")
-    return len(basis.elements) if ks is None else len(ks) - ks.count(None)
+    """Number of basis elements, counted on ``_ks``, so no element is built."""
+    return len(basis._ks) - basis._ks.count(None)
 
 
 # Set after the class is made, so both stay fields: a computed basis spells each out on first read and keeps it.

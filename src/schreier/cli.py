@@ -22,7 +22,7 @@ from .actions import (
     perm_of_word,
     read_action_file,
 )
-from .basis import _pairs, compute_basis, degenerate_count
+from .basis import compute_basis, degenerate_count
 from .checks import run_checks
 from .cosets import _texts, build_table, coset_of
 from .induce import haction_from_action, induce
@@ -91,8 +91,8 @@ def _cmd_act(args) -> int:
 
 
 def _cmd_transversal(args) -> int:
-    _, table, transversal = _setup(args)
-    for c, r in enumerate(_texts(table, transversal)[0]):
+    transversal = _setup(args)[2]
+    for c, r in enumerate(_texts(transversal)[0]):
         _out(args, {"coset": c, "rep": r}, f"{c} {r}")
     return 0
 
@@ -100,8 +100,8 @@ def _cmd_transversal(args) -> int:
 def _cmd_basis(args) -> int:
     act, table, transversal = _setup(args)
     basis = compute_basis(table, transversal)
-    cosets, gens = _pairs(basis)
-    reps, basis_words = _texts(table, transversal, zip(cosets, gens))
+    cosets, gens, ends = basis._edges
+    reps, basis_words = _texts(transversal, zip(cosets, gens, ends))
     for k, (c, g, word) in enumerate(zip(cosets, gens, basis_words)):
         t, name = reps[c], act.alphabet.names[g]
         _out(args, {"index": k, "rep": t, "generator": name, "word": word}, f"{k} {t} {name} {word}")

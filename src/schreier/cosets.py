@@ -99,18 +99,18 @@ def _tree_path(tree, a: int, b: int, walk: list[int]) -> list[int]:
     return walk
 
 
-def _texts(table: CosetTable, transversal: SchreierTransversal, pairs=()):
-    """The text of every rep, and an iterator over the text of t x rep(tx)^-1 per (coset, generator) pair.
+def _texts(transversal: SchreierTransversal, edges=()):
+    """The text of every rep, and an iterator over the text of t x rep(tx)^-1 per edge (coset, generator, end coset).
 
     Reads the transversal's Schreier vector and builds no word.  In one
     pass by depth, so parents first, coset c keeps its rep t split at its last run: the text
     before the run, the run's letter code and length, and the text of t^-1 after its
     first run, which is the last run inverted.  A child bumps its parent's last run
     or starts a new one.  A pair's word cancels no letter (see ``compute_basis``),
-    but x can merge with the runs on both sides of it.  O(m + len(pairs) + characters built)
+    but x can merge with the runs on both sides of it.  O(m + len(edges) + characters built)
     on a tree from ``build_table``, whose depths are already sorted.
     """
-    names, images = transversal._alphabet.names, [p.images for p in table.graph.gen_perms]
+    names = transversal._alphabet.names
     parents, codes, depths = transversal._tree
 
     def run(code: int, k: int) -> str:
@@ -125,9 +125,9 @@ def _texts(table: CosetTable, transversal: SchreierTransversal, pairs=()):
             parts[c] = (_join(head, run(code, k)), codes[c], 1, _join(run(code ^ 1, k), tail))
 
     def basis_words():
-        for c, g in pairs:
+        for c, g, end in edges:
             head, code, k, _ = parts[c]
-            _, last, j, tail = parts[images[g][c]]
+            _, last, j, tail = parts[end]
             x, first = 2 * g, last ^ 1  # rep(tx)^-1 opens with rep(tx)'s last run inverted
             mid = 1 + (k if code == x else 0) + (j if first == x else 0)
             yield _join(head, "" if code == x else run(code, k), run(x, mid), "" if first == x else run(first, j), tail)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import actions, words
 from .actions import ActionParseError, FiniteAction, Permutation
-from .basis import InvariantError, SchreierBasis, _columns, _pairs, _size, _source, _tree_edges
+from .basis import InvariantError, SchreierBasis, _columns, _size, _source, _tree_edges
 from .cosets import CosetTable, SchreierTransversal, coset_of
 from .rewrite import rewrite
 from .words import Word
@@ -129,16 +129,13 @@ def restrict_to_h(ind: InducedAction, basis: SchreierBasis) -> tuple[Permutation
     iff x moves fiber c into fiber cx.
     """
     d = ind.h_degree
-    _, tr, table_steps = _source(basis)
-    fibers = _fibers(ind, tr)
+    fibers = _fibers(ind, _source(basis)[1])
     inverses = [dict(zip(fiber, range(d))) for fiber in fibers]
     steps = ind.base._steps
     perms = []
-    for c, g in zip(*_pairs(basis)):
-        code = 2 * g
+    for c, g, end in zip(*basis._edges):
         try:
-            perms.append(actions._perm(words._gather(inverses[table_steps[code][c]],
-                                                     words._gather(steps[code], fibers[c]))))
+            perms.append(actions._perm(words._gather(inverses[end], words._gather(steps[2 * g], fibers[c]))))
         except KeyError:
             raise InvariantError("basis word moved the coset coordinate") from None
     return tuple(perms)
@@ -173,7 +170,8 @@ def tensor_action_generic(
 
 
 def haction_from_action(file_act: FiniteAction, basis: SchreierBasis) -> HAction:
-    """Interpret an action file whose generators are b0..b{k-1} as an H-action."""
+    """Interpret an action file whose generators are b0..b{k-1} as an H-action of a basis from ``compute_basis``."""
+    _source(basis)
     expected = [f"b{k}" for k in range(_size(basis))]
     if file_act.alphabet._positions.keys() != set(expected):  # both sides distinct: equal sets, equal sorted lists
         want = f"generators must be exactly b0..b{len(expected) - 1}" if expected else "must have no generators"

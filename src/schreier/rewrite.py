@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import words
-from .basis import SchreierBasis, _columns, _pairs, _source
+from .basis import SchreierBasis, _columns, _source
 from .cosets import CosetTable, SchreierTransversal, _tree_path, coset_of
 from .words import Word
 
@@ -71,7 +71,7 @@ def rewrite(table: CosetTable, transversal: SchreierTransversal, basis: Schreier
     if w.alphabet != table.action.alphabet:
         raise ValueError("alphabet mismatch")
     steps = _source(basis, table)[2]
-    emits = _tables(basis)[0]
+    emits = _tables(basis)
     emitted: list[tuple[int, int] | None] = []
     c = 0
     for code in map(ord, w.codes):
@@ -84,20 +84,17 @@ def rewrite(table: CosetTable, transversal: SchreierTransversal, basis: Schreier
     return bw
 
 
-def _tables(basis: SchreierBasis):
+def _tables(basis: SchreierBasis) -> tuple[tuple[tuple[int, int] | None, ...], ...]:
     """Per letter code, by coset, the factor it emits: the basis's one (k, 1) or (k, -1) tuple, or None (x^-1
-    at coset c undoes the pair (c x^-1, x)); per element k, its edge in three columns: from coset, letter code
-    and to coset.  Built in O(m·n) on first use, from the steps of the basis's own table, and kept."""
+    at coset c undoes the pair (c x^-1, x)).  Built in O(m·n) on first use, from the steps of the basis's own
+    table, and kept."""
     kept = basis.__dict__.get("_tables")
     if kept is None:
-        steps = _source(basis)[2]
-        starts, gens = _pairs(basis)
-        emits = []
+        steps, emits = _source(basis)[2], []
         for g, ks in enumerate(_columns(basis)):  # each k sits in one slot: one tuple per element and sign
             emits += [tuple([None if k is None else (k, 1) for k in ks]),
                       words._gather([None if k is None else (k, -1) for k in ks], steps[2 * g + 1])]
-        codes = [2 * g for g in gens]
-        kept = (tuple(emits), (starts, codes, [steps[code][c] for c, code in zip(starts, codes)]))
+        kept = tuple(emits)
         object.__setattr__(basis, "_tables", kept)
     return kept
 
@@ -112,11 +109,11 @@ def expand(basis: SchreierBasis, bw: BWord | Iterable[tuple[int, int]]) -> Word:
     meets the non-tree edges on either side at other edges, since the action is a permutation, and two
     edges with no path between cancel only as (k, s), (k, -s).
     """
-    tree, (starts, codes, ends) = _source(basis)[1]._tree, _tables(basis)[1]
+    tree, (starts, gens, ends) = _source(basis)[1]._tree, basis._edges
     factors = bw.factors if isinstance(bw, BWord) else list(bw)  # a BWord is reduced, signs +1 or -1, indices >= 0
     if not isinstance(bw, BWord):
         for k, s in factors:  # every factor, before any cancels
-            if not 0 <= k < len(codes):
+            if not 0 <= k < len(gens):
                 raise ValueError(f"basis index {k} out of range")
             if s not in (1, -1):
                 raise ValueError(f"factor sign must be +1 or -1, got {s}")
@@ -126,9 +123,9 @@ def expand(basis: SchreierBasis, bw: BWord | Iterable[tuple[int, int]]) -> Word:
     for k, s in factors:
         try:
             if s == 1:
-                a, code, b = starts[k], codes[k], ends[k]
+                a, code, b = starts[k], 2 * gens[k], ends[k]
             else:
-                a, code, b = ends[k], codes[k] + 1, starts[k]
+                a, code, b = ends[k], 2 * gens[k] + 1, starts[k]
         except IndexError:  # only a BWord's index, never negative, can pass the last element
             raise ValueError(f"basis index {k} out of range") from None
         if c != a:

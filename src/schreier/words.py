@@ -7,15 +7,16 @@ the letter (g, sign) is the character chr(2g + (sign < 0)), so a code's
 inverse is code ^ 1 and codes sort in shortlex letter order
 x0 < x0^-1 < x1 < ...  All values here are immutable and safe to share
 between threads.  The exceptions are two bounded memos on each
-``Alphabet``, at most ``_TOKEN_MEMO_SIZE`` entries each.  ``parse``'s
-memo maps a short factor token to its run of codes: a text whose tokens
-are all there parses in one join; a first-seen token is learned there
-first and the text joined, at any alphabet width.  ``format_word``'s
-memo is its mirror and maps a short run of codes to its text, such as
-``x^-3``: a word's runs, found in C, are mapped through it in one join.
-Both are thread-safe: a key always maps to the same value, each dict
-read or write is atomic, and threads that race past the size check can
-overfill a memo only by one entry each.
+``Alphabet``, dicts that learn a missing key on first read and keep it
+while they hold fewer than ``_TOKEN_MEMO_SIZE`` entries and the key is at
+most ``_TOKEN_MEMO_WIDTH`` characters.  ``parse``'s memo maps a factor
+token to its run of codes, at most ``_TOKEN_MEMO_WIDTH`` of them: a text
+whose tokens it holds or learns parses in one join, at any alphabet
+width.  ``format_word``'s memo is its mirror and maps a run of codes to
+its text, such as ``x^-3``: a word's runs, found in C, are mapped through
+it in one join.  Both are thread-safe: a key always maps to the same
+value, each dict read or write is atomic, and threads that race past the
+size check can overfill a memo only by one entry each.
 """
 
 import re
@@ -91,6 +92,50 @@ class _Flip(dict):
 _FLIP = _Flip()
 
 
+def _has_room(memo: dict, key: str) -> bool:
+    """Both memos' store rule: a key of at most ``_TOKEN_MEMO_WIDTH`` characters, while the memo
+    holds fewer than ``_TOKEN_MEMO_SIZE`` entries."""
+    return len(memo) < _TOKEN_MEMO_SIZE and len(key) <= _TOKEN_MEMO_WIDTH
+
+
+class _Tokens(dict):
+    """``parse``'s memo: a factor token -> its run of codes, learned on first read under ``_has_room``.
+
+    A token that is not exactly one factor, or one the memo cannot take (the
+    memo full, over ``_TOKEN_MEMO_WIDTH`` characters, or a run of more codes
+    than that), raises KeyError, and the scanner then reads the whole text.
+    """
+
+    def __init__(self, alphabet: "Alphabet"):
+        self.alphabet = alphabet
+
+    def __missing__(self, token: str) -> str:
+        if not _has_room(self, token):
+            raise KeyError(token)
+        try:
+            ((gen, k),) = _scan_factors(token, self.alphabet)
+        except ValueError:  # no factor (``1``), more than one (``x*y``), or a fault the scanner reports
+            raise KeyError(token) from None
+        if abs(k) > _TOKEN_MEMO_WIDTH:
+            raise KeyError(token)
+        run = self[token] = self.alphabet._char(2 * gen + (k < 0)) * abs(k)
+        return run
+
+
+class _RunTexts(dict):
+    """``format_word``'s memo: a run of one code -> its text, learned on first read and kept under ``_has_room``."""
+
+    def __init__(self, names: tuple[str, ...]):
+        self.names = names
+
+    def __missing__(self, run: str) -> str:
+        code = ord(run[0])
+        text = _run(self.names[code >> 1], -len(run) if code & 1 else len(run))
+        if _has_room(self, run):
+            self[run] = text
+        return text
+
+
 class Letter(NamedTuple):
     """One signed generator: ``sign`` +1 for x, -1 for x^-1."""
 
@@ -102,10 +147,10 @@ class Letter(NamedTuple):
 class Alphabet:
     """Ordered, distinct generator names; the order fixes shortlex.  Its per-code tables are built on first use.
 
-    It also keeps two bounded memos, neither pickled: ``_tokens``, from
-    factor tokens ``parse`` has read to their runs of codes, and its mirror
-    ``_run_texts``, from runs of one code ``format_word`` has printed to
-    their text, such as ``x^-3``.
+    It also keeps two bounded memos, neither pickled, each learning what it
+    lacks on first read: ``_tokens``, from factor tokens ``parse`` has read
+    to their runs of codes, and its mirror ``_run_texts``, from runs of one
+    code ``format_word`` has printed to their text, such as ``x^-3``.
     """
 
     names: tuple[str, ...]
@@ -164,20 +209,18 @@ class Alphabet:
         return {name: i for i, name in enumerate(self.names)}
 
     @cached_property
-    def _tokens(self) -> dict[str, str | tuple[int, int]]:
-        """``parse``'s memo, at most ``_TOKEN_MEMO_SIZE`` tokens: factor token -> its run of codes,
-        or (generator, exponent) for a run longer than ``_TOKEN_MEMO_WIDTH``.  ``parse`` learns a
-        first-seen token here, then joins the text's runs, so only a text that cancels, holds a long
-        run, or has a token the memo cannot take (too long, the memo full, not one factor) folds."""
-        return {}
+    def _tokens(self) -> _Tokens:
+        """``parse``'s memo, at most ``_TOKEN_MEMO_SIZE`` tokens, each -> its run of at most
+        ``_TOKEN_MEMO_WIDTH`` codes: see ``_Tokens``."""
+        return _Tokens(self)
 
     @cached_property
-    def _run_texts(self) -> dict[str, str]:
+    def _run_texts(self) -> _RunTexts:
         """``format_word``'s memo, the mirror of ``_tokens``: a run of one code, at most
         ``_TOKEN_MEMO_WIDTH`` of them, -> its text, such as ``x^-3``.  It holds at most
-        ``_TOKEN_MEMO_SIZE`` runs, learned as words are formatted, so a word costs O(|w|)
-        at any alphabet width; a run it cannot take is spelt afresh each time."""
-        return {}
+        ``_TOKEN_MEMO_SIZE`` runs, so a word costs O(|w|) at any alphabet width; a run it
+        cannot take is spelt afresh each time."""
+        return _RunTexts(self.names)
 
     def index(self, name: str) -> int:
         try:
@@ -337,32 +380,16 @@ def parse(text: str, alphabet: Alphabet) -> Word:
     Exponents are nonzero integers.  The result is reduced.
     """
     tokens = text.split()
-    try:  # every token memoised with its run of codes: one join
-        codes = "".join(map(alphabet._tokens.__getitem__, tokens))
-    except KeyError:  # a token not memoised yet
-        codes = _learn_and_join(tokens, alphabet)
-    except TypeError:  # a long run's (generator, exponent)
-        codes = ""
-    if codes and len(codes) <= MAX_WORD_LENGTH and not _cancels(codes):
+    try:  # every token one factor the memo holds or learns: one join
+        runs = [*map(alphabet._tokens.__getitem__, tokens)]
+    except KeyError:  # one the memo cannot take
+        runs = []
+    if not runs:  # that, or no token: the scanner reads the text or reports its first fault
+        return _fold(alphabet, _scan_factors(text, alphabet))
+    codes = "".join(runs)
+    if len(codes) <= MAX_WORD_LENGTH and not _cancels(codes):
         return _word(alphabet, codes)
-    # The fold: no token ([]) or one the memo cannot take (None) goes to the scanner.
-    return _fold(alphabet, _token_factors(tokens, alphabet) or _scan_factors(text, alphabet))
-
-
-def _learn_and_join(tokens: list[str], alphabet: Alphabet) -> str:
-    """Learn the tokens the memo lacks, up to the first that is not one factor, then join their codes.
-
-    "" when the join still fails: a token that is not one factor, one the
-    memo could not take, or a long run's (generator, exponent).
-    """
-    memo = alphabet._tokens
-    for token in filterfalse(memo.__contains__, tokens):
-        if _learn(token, alphabet) is None:
-            break
-    try:
-        return "".join(map(memo.__getitem__, tokens))
-    except (KeyError, TypeError):
-        return ""
+    return _fold(alphabet, [(ord(run[0]) >> 1, -len(run) if ord(run[0]) & 1 else len(run)) for run in runs])
 
 
 def _cancels(codes: str) -> bool:
@@ -388,52 +415,6 @@ def _xor_previous(raw: bytes) -> bytes:
     """Each byte XOR the byte before it, the first kept as it is: in C, as one shift and XOR of an integer."""
     x = int.from_bytes(raw, "big")
     return (x ^ x >> 8).to_bytes(len(raw), "big")
-
-
-def _token_factors(tokens: list[str], alphabet: Alphabet) -> list[tuple[int, int]] | None:
-    """The factors of whitespace-separated factor tokens, else None.
-
-    Each token is looked up in the alphabet's memo, and learnt there if it
-    is not.  A token that is not one whole factor (``*``, ``1``, an unknown
-    name, ``x^0``, ...) returns None: the scanner then parses the text or
-    reports its first fault.
-    """
-    memo = alphabet._tokens
-    factors = []
-    for token in tokens:
-        factor = memo.get(token)
-        if factor is None:
-            factor = _learn(token, alphabet)
-            if factor is None:
-                return None
-        elif type(factor) is str:
-            factor = ord(factor[0]) >> 1, len(factor) * (-1 if ord(factor[0]) & 1 else 1)
-        factors.append(factor)
-    return factors
-
-
-def _learn(token: str, alphabet: Alphabet) -> tuple[int, int] | None:
-    """The token's (generator, exponent), or None unless ``_scan_factors`` reads it as exactly one factor.
-
-    A factor is kept in the token memo when ``_has_room`` allows, as its
-    run of codes, ready to join, or as (generator, exponent) for a run
-    longer than ``_TOKEN_MEMO_WIDTH``.
-    """
-    try:
-        (factor,) = _scan_factors(token, alphabet)
-    except ValueError:  # no factor (``1``), more than one (``x*y``), or a fault the scanner reports
-        return None
-    memo = alphabet._tokens
-    if _has_room(memo, token):
-        gen, k = factor
-        memo[token] = factor if abs(k) > _TOKEN_MEMO_WIDTH else alphabet._char(2 * gen + (k < 0)) * abs(k)
-    return factor
-
-
-def _has_room(memo: dict, key: str) -> bool:
-    """Both memos' store rule: a key of at most ``_TOKEN_MEMO_WIDTH`` characters, while the memo
-    holds fewer than ``_TOKEN_MEMO_SIZE`` entries."""
-    return len(memo) < _TOKEN_MEMO_SIZE and len(key) <= _TOKEN_MEMO_WIDTH
 
 
 def _scan_factors(text: str, alphabet: Alphabet) -> Iterator[tuple[int, int]]:
@@ -496,29 +477,21 @@ def format_word(w: Word) -> str:
     """Canonical text: run-length factors joined by single spaces.
 
     Each run of one code is mapped to its text through the alphabet's run
-    memo, learning the runs it lacks.  A word of at least
-    ``_FORMAT_LOOP_BELOW`` letters over at most 127 generators has its runs
-    found in C by ``_runs``; a shorter word, or one over a wider alphabet,
-    whose codes reach the marker bytes, by a loop over its runs.
+    memo.  A word of at least ``_FORMAT_LOOP_BELOW`` letters over at most
+    127 generators has its runs found in C by ``_runs``; a shorter word, or
+    one over a wider alphabet, whose codes reach the marker bytes, by a loop
+    over its runs.
     """
     codes, alphabet = w.codes, w.alphabet
     memo, end = alphabet._run_texts, len(codes)
     if end >= _FORMAT_LOOP_BELOW and len(alphabet.names) <= _BYTE_MAX_GENERATORS:
-        runs = _runs(codes)
-        try:
-            return " ".join(map(memo.__getitem__, runs))
-        except KeyError:  # a run not memoised yet, or one the memo cannot take
-            return " ".join([memo.get(run) or _learn_run(run, alphabet) for run in runs])
+        return " ".join(map(memo.__getitem__, _runs(codes)))
     texts, i = [], 0
     while i < end:
         c, j = codes[i], i + 1
         while j < end and codes[j] == c:
             j += 1
-        run = codes[i:j] if j - i > 1 else c  # no slice for the commonest run, one letter
-        try:
-            texts.append(memo[run])
-        except KeyError:
-            texts.append(_learn_run(run, alphabet))
+        texts.append(memo[codes[i:j] if j - i > 1 else c])  # no slice for the commonest run, one letter
         i = j
     return " ".join(texts) or "1"
 
@@ -535,16 +508,6 @@ def _runs(codes: str) -> list[str]:
     marked[::2] = raw
     marked[1::2] = _xor_previous(raw)[1:].translate(_RUN_MARKERS)
     return marked.translate(None, b"\xfe").decode("latin-1").split("\xff")
-
-
-def _learn_run(run: str, alphabet: Alphabet) -> str:
-    """The text of a run of one code, kept in the alphabet's run memo under ``_has_room``."""
-    code = ord(run[0])
-    text = _run(alphabet.names[code >> 1], -len(run) if code & 1 else len(run))
-    memo = alphabet._run_texts
-    if _has_room(memo, run):
-        memo[run] = text
-    return text
 
 
 def _run(name: str, k: int) -> str:

@@ -327,7 +327,7 @@ def test_a_basis_not_made_by_compute_basis_is_refused(copy):
     h = CYCLE3.alphabet.word("x y x^-1")
     calls = [lambda: s.rewrite(table, tr, other, h), lambda: s.expand(other, [(2, 1)]), lambda: s.expand(other, []),
              lambda: s.restrict_to_h(ind, other), lambda: s.induce(sigma, table, tr, other),
-             lambda: s.degenerate_count(other)]
+             lambda: s.degenerate_count(other), lambda: s.haction_from_action(ind.base, other)]
     for call in calls:
         with pytest.raises(ValueError, match="basis was not made by compute_basis"):
             call()

@@ -829,7 +829,8 @@ def test_schreier_vector_of_words_agrees_with_the_tree_the_texts_and_expand(case
     basis = s.compute_basis(table, words)
     factors = [(k, 1) for k in range(len(basis.elements))] * 2  # tree paths between the factors' cosets
     got = s.expand(basis, factors)
-    reps, basis_texts = cosets._texts(table, words, [(e.coset, e.gen) for e in basis.elements])
+    edges = [(e.coset, e.gen, table.graph.gen_perms[e.gen](e.coset)) for e in basis.elements]
+    reps, basis_texts = cosets._texts(words, edges)
     assert reps == [s.format_word(r) for r in tr.reps]
     assert list(basis_texts) == [s.format_word(e.word) for e in basis.elements]
     assert pairs_of_word(got) == expand_pairs([pairs_of_word(e.word) for e in basis.elements], factors)
@@ -950,7 +951,7 @@ def test_tables_and_induce_agree_with_the_index_pair_by_pair(case, data):
     with mock.patch.object(s.words, "_word", lambda alphabet, codes: built.append(codes)):
         table, tr = s.build_table(act, base)
         basis = s.compute_basis(table, tr)
-        emits, edges = _tables(basis)
+        emits, edges = _tables(basis), basis._edges
         sigma = s.HAction(d, tuple(s.Permutation(tuple(data.draw(st.permutations(range(d))))) for _ in basis.elements))
         ind = s.induce(sigma, table, tr, basis)
     assert built == []  # compute_basis left every word unbuilt, and the tables and induce read none
@@ -959,7 +960,7 @@ def test_tables_and_induce_agree_with_the_index_pair_by_pair(case, data):
         assert emits[2 * g] == tuple(None if (k := index[(c, g)]) is None else (k, 1) for c in range(m))
         undone = [index[(images.index(c), g)] for c in range(m)]  # x^-1 at c undoes the pair (c x^-1, x)
         assert emits[2 * g + 1] == tuple(None if k is None else (k, -1) for k in undone)
-    assert [*zip(*edges)] == [(e.coset, 2 * e.gen, graph[e.gen][e.coset]) for e in basis.elements]  # three columns
+    assert [*zip(*edges)] == [(e.coset, e.gen, graph[e.gen][e.coset]) for e in basis.elements]  # three columns
     for g, images in enumerate(graph):
         for c, a in itertools.product(range(m), range(d)):
             k = index[(c, g)]

@@ -63,7 +63,8 @@ def inputs(tmp_path_factory):
     p, length = a[0], 1
     while p:
         p, length = a[p], length + 1
-    return dict(values, canonical=_canonical(random.Random(0), 20_000), a_cycle=f"a^{length}")
+    return dict(values, canonical=_canonical(random.Random(0), 20_000), a_cycle=f"a^{length}",
+                cancelling=" ".join(["x^1000000 x^-1000000"] * 1000 + ["y"]))
 
 
 ROWS = [
@@ -84,6 +85,11 @@ ROWS = [
                  id="rewrite random 2x100000"),
     pytest.param(30, ["reduce", "-g", "x,y,z", "{canonical}"], 0, "{canonical}\n", "*", None,
                  id="reduce canonical 20000"),
+    # 2,001 tokens, runs of a million letters that cancel in pairs: folded as they are read, no letter built.
+    # 16.6 MB read under Python 3.11 on x86-64 Linux, plus 10 MB for other interpreters' start-up.
+    pytest.param(30, ["reduce", "-g", "x,y", "{cancelling}"], 0, "y\n", "*", 27, id="reduce cancelling runs"),
+    pytest.param(30, ["reduce", "-g", "x,y", "x^600000 x^400001"], 2, "", "*longer than the limit*", None,
+                 id="reduce over the limit"),
 ]
 
 

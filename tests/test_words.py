@@ -264,14 +264,21 @@ def test_parse_rejects_an_exponent_int_cannot_convert():
         assert "exponent too large at position 4" in str(info.value)
 
 
+def _padded_texts() -> list[str]:
+    """Texts ``y x^k x^-(k - 1)``, each parsing to ``y x``, over 5,041 distinct tokens: ``y``, and runs of at
+    most 64 codes, k from 2 to 64 written after 0 to 39 leading zeros, as in ``x^003``."""
+    return [f"y x^{'0' * pad}{k} x^-{'0' * pad}{k - 1}" for pad in range(40) for k in range(2, 65)]
+
+
 def test_parse_memo_is_bounded():
     ab = s.Alphabet(("x", "y"))
-    # 9,998 distinct tokens, every text folding to x.
-    for k in range(2, 5001):
-        assert str(ab.word(f"x^{k} x^-{k - 1}")) == "x"
+    texts = _padded_texts()
+    for text in texts:
+        assert str(ab.word(text)) == "y x"
     assert len(ab._tokens) == s.words._TOKEN_MEMO_SIZE == 4096
-    assert "x^-4999" not in ab._tokens
-    assert str(ab.word("x^-4999 y x^5000")) == "x^-4999 y x^5000"
+    _, last, last_inverse = texts[-1].split()
+    assert last not in ab._tokens and last_inverse not in ab._tokens
+    assert str(ab.word(f"{last_inverse} y {last}")) == "x^-63 y x^64"
     assert ab == XY and hash(ab) == hash(XY)
     # A token longer than 64 characters is never stored, even with room to spare.
     ab, long = s.Alphabet(("x", "y")), "x^" + "0" * 62 + "3"
@@ -281,10 +288,12 @@ def test_parse_memo_is_bounded():
 def test_parse_memo_keeps_only_short_runs_as_codes():
     # At most 64 codes per token, so the memo's runs stay under 4,096 x 64 characters.
     ab = s.Alphabet(("x", "y"))
-    for _ in range(2):  # cold, then a join of memoised runs that cancel across a junction
+    for _ in range(2):  # cold, then warm: a run of 65 letters is never stored, and its text goes to the scanner
         assert str(ab.word("x^64 y^-65 y^65 x^-2 y")) == "x^62 y"
-    assert ab._tokens == {"x^64": "\x00" * 64, "y^-65": (1, -65), "y^65": (1, 65), "x^-2": "\x01\x01", "y": "\x02"}
-    assert str(ab.word("x^64 x^-2 y")) == "x^62 y"
+    assert ab._tokens == {"x^64": "\x00" * 64}  # learned up to the first token it cannot take
+    for _ in range(2):  # cold, then a join of memoised runs that cancel across a junction
+        assert str(ab.word("x^64 x^-2 y")) == "x^62 y"
+    assert ab._tokens == {"x^64": "\x00" * 64, "x^-2": "\x01\x01", "y": "\x02"}
 
 
 def test_a_cold_parse_learns_its_tokens_and_joins_them_without_folding(monkeypatch):
@@ -295,8 +304,7 @@ def test_a_cold_parse_learns_its_tokens_and_joins_them_without_folding(monkeypat
         s.parse("y x^0 x^2", ab)
     assert ab._tokens == {"y": "\x02"}  # learned up to the first token that is not one factor
     ab = s.Alphabet(("x", "y"))
-    for name in ("_fold", "_token_factors"):
-        monkeypatch.setattr(s.words, name, lambda *args: pytest.fail("folded"))
+    monkeypatch.setattr(s.words, "_fold", lambda *args: pytest.fail("folded"))
     assert [s.parse(text, ab) for text in texts] == expected
     # One run of codes per token; a repeated token is learned once.
     assert ab._tokens == {"x^3": "\x00" * 3, "y^-2": "\x03" * 2, "x": "\x00", "y^64": "\x02" * 64, "x^-1": "\x01",
@@ -304,13 +312,13 @@ def test_a_cold_parse_learns_its_tokens_and_joins_them_without_folding(monkeypat
 
 
 def test_parse_memo_stays_bounded_under_racing_threads():
-    ab, threads = s.Alphabet(("x", "y")), 4
-    wrong: list[int] = []
+    ab, threads, texts = s.Alphabet(("x", "y")), 4, _padded_texts()
+    wrong: list[str] = []
 
     def parse_range(offset):
-        for k in range(2 + offset, 6000, threads):
-            if str(ab.word(f"y x^{k} x^-{k - 1}")) != "y x":
-                wrong.append(k)
+        for text in texts[offset::threads]:
+            if str(ab.word(text)) != "y x":
+                wrong.append(text)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -326,6 +334,40 @@ def test_parse_memo_stays_bounded_under_racing_threads():
     assert not wrong
     # Threads that race past the size check can each add one token.
     assert s.words._TOKEN_MEMO_SIZE <= len(ab._tokens) <= s.words._TOKEN_MEMO_SIZE + threads
+
+
+def _outcome(read, text: str, alphabet: s.Alphabet):
+    """The word read makes of text, or its error's type and message."""
+    try:
+        return read(text, alphabet)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _scanned(text: str, alphabet: s.Alphabet) -> s.Word:
+    return s.words._fold(alphabet, s.words._scan_factors(text, alphabet))
+
+
+_LONG_TOKEN = "x^-" + "0" * 62 + "3"  # 66 characters, a run of 3 letters
+
+
+@pytest.mark.parametrize("texts,full", [
+    (["x^65", "y x^-100 y", "x^65 x^-65", "x^64 x^65 y^-70 x", "x^65 z", "x^65 *", "x^65 x^0"], False),
+    ([_LONG_TOKEN, f"y {_LONG_TOKEN} x^3", f"x^3 {_LONG_TOKEN} y", f"{_LONG_TOKEN} y^0"], False),
+    (["y^3 x y^-2", "y^2 x^2 x^-2 y^-2 x", "x^2 y^5 x^0", "y^2 w"], True),
+], ids=["a run over 64 letters", "a token over 64 characters", "a new token, the memo full"])
+def test_parse_agrees_with_the_scanner_where_the_memo_cannot_take_a_token(texts, full):
+    ab = s.Alphabet(("x", "y"))
+    if full:
+        for text in _padded_texts():
+            ab.word(text)
+        assert len(ab._tokens) == s.words._TOKEN_MEMO_SIZE
+        assert all(any(token not in ab._tokens for token in text.split()) for text in texts)
+    for text in texts:
+        expected = _outcome(_scanned, text, ab)
+        for _ in range(2):  # cold, then warm
+            assert _outcome(s.parse, text, ab) == expected
+    assert all(type(run) is str and len(run) <= s.words._TOKEN_MEMO_WIDTH for run in ab._tokens.values())
 
 
 # Over 100 generators, 200 codes x 64 lengths: more short runs than the run memo keeps.
