@@ -62,7 +62,7 @@ def _read_word(e: BasisElement, get=BasisElement.word.__get__, put=BasisElement.
         c, d = e.coset, steps[code][e.coset]
         if "reps" in tr.__dict__:  # spelled out already: two strings join faster than two tree paths climb
             t, u = tr.reps[c].codes, tr.reps[d].codes
-            word = words._word(alphabet, t + alphabet._char(code) + u[::-1].translate(alphabet._flips))
+            word = words._word(alphabet, t + alphabet._char(code) + u[::-1].translate(words._FLIP))
         else:
             walk = _tree_path(tr._tree, 0, c, [])
             walk.append(code)
@@ -113,6 +113,17 @@ class SchreierBasis:
         cosets = list(compress(chain.from_iterable(map(repeat, range(m), repeat(n))), free))
         gens = list(compress(cycle(range(n)), free))
         return cosets, gens, [steps[2 * g][c] for c, g in zip(cosets, gens)]
+
+    @cached_property
+    def _emits(self) -> tuple[tuple[tuple[int, int] | None, ...], ...]:
+        """Per letter code, by coset, the factor ``rewrite`` emits: the basis's one (k, 1) or (k, -1) tuple,
+        or None (x^-1 at coset c undoes the pair (c x^-1, x)).  Built in O(m·n) on first read, from the
+        steps of the basis's own table, and kept.  ValueError for a basis not from ``compute_basis``."""
+        steps, emits = _source(self)[2], []
+        for g, ks in enumerate(_columns(self)):  # each k sits in one slot: one tuple per element and sign
+            emits += [tuple([None if k is None else (k, 1) for k in ks]),
+                      words._gather([None if k is None else (k, -1) for k in ks], steps[2 * g + 1])]
+        return tuple(emits)
 
 
 def _spell_elements(basis: SchreierBasis) -> tuple[BasisElement, ...]:

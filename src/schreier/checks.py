@@ -89,17 +89,18 @@ def _walk(table: CosetTable, length: int) -> Iterator[tuple[str, int]]:
     of the table's graph from its parent's, so a word costs one step past
     the string of its codes, and no ``Word`` is built.
     """
-    chars, steps = table.graph.alphabet._chars, table.graph._steps
+    alphabet, steps = table.graph.alphabet, table.graph._steps
+    chars = "".join(map(alphabet._char, range(2 * len(alphabet))))
     # The codes, and image tuples, of the letters that may follow each last
     # letter, in shortlex letter order: every letter but its inverse.
-    follow, moves = {"": "".join(chars)}, {"": steps}
+    follow, moves = {"": chars}, {"": steps}
     texts, cosets = [""], [0]
     yield "", 0
     for depth in range(1, length + 1):
         if depth == 2:  # only now, so a wide alphabet scanned to length 1 builds no table
             for code, ch in enumerate(chars):
                 k = code ^ 1
-                follow[ch], moves[ch] = "".join(chars[:k] + chars[k + 1:]), steps[:k] + steps[k + 1:]
+                follow[ch], moves[ch] = chars[:k] + chars[k + 1:], steps[:k] + steps[k + 1:]
         cosets = [images[c] for t, c in zip(texts, cosets) for images in moves[t[-1:]]]
         texts = [t + ch for t in texts for ch in follow[t[-1:]]]
         yield from zip(texts, cosets)

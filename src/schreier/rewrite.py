@@ -8,11 +8,12 @@ nothing, each factor ready from a table kept with the basis.  Expanding
 joins the walk back with no reduction.
 """
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
 from . import words
-from .basis import SchreierBasis, _columns, _source
+from .basis import SchreierBasis, _source
 from .cosets import CosetTable, SchreierTransversal, _tree_path, coset_of
 from .words import Word
 
@@ -40,7 +41,7 @@ class BWord:
     factors: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        factors = tuple((int(k), int(s)) for k, s in self.factors)
+        factors = tuple((operator.index(k), operator.index(s)) for k, s in self.factors)
         object.__setattr__(self, "factors", factors)
         prev = None
         for k, s in factors:
@@ -71,7 +72,7 @@ def rewrite(table: CosetTable, transversal: SchreierTransversal, basis: Schreier
     if w.alphabet != table.action.alphabet:
         raise ValueError("alphabet mismatch")
     steps = _source(basis, table)[2]
-    emits = _tables(basis)
+    emits = basis._emits
     emitted: list[tuple[int, int] | None] = []
     c = 0
     for code in map(ord, w.codes):
@@ -82,21 +83,6 @@ def rewrite(table: CosetTable, transversal: SchreierTransversal, basis: Schreier
     bw = object.__new__(BWord)
     object.__setattr__(bw, "factors", tuple(filter(None, emitted)))
     return bw
-
-
-def _tables(basis: SchreierBasis) -> tuple[tuple[tuple[int, int] | None, ...], ...]:
-    """Per letter code, by coset, the factor it emits: the basis's one (k, 1) or (k, -1) tuple, or None (x^-1
-    at coset c undoes the pair (c x^-1, x)).  Built in O(m·n) on first use, from the steps of the basis's own
-    table, and kept."""
-    kept = basis.__dict__.get("_tables")
-    if kept is None:
-        steps, emits = _source(basis)[2], []
-        for g, ks in enumerate(_columns(basis)):  # each k sits in one slot: one tuple per element and sign
-            emits += [tuple([None if k is None else (k, 1) for k in ks]),
-                      words._gather([None if k is None else (k, -1) for k in ks], steps[2 * g + 1])]
-        kept = tuple(emits)
-        object.__setattr__(basis, "_tables", kept)
-    return kept
 
 
 def expand(basis: SchreierBasis, bw: BWord | Iterable[tuple[int, int]]) -> Word:

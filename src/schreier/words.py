@@ -3,9 +3,11 @@
 Free-group elements are kept in their unique reduced form: no adjacent
 pair of a generator and its inverse.  The empty word is the group
 identity and prints as ``1``.  A word is one string of letter codes:
-the letter (g, sign) is the character chr(2g + (sign < 0)), so a code's
-inverse is code ^ 1 and codes sort in shortlex letter order
-x0 < x0^-1 < x1 < ...  All values here are immutable and safe to share
+the letter (g, sign) is the character chr(2g + (sign < 0)), the same rule
+over every alphabet, so a code's inverse is code ^ 1, read through one
+shared table, ``_FLIP``, and codes sort in shortlex letter order
+x0 < x0^-1 < x1 < ...  An alphabet checks its width once, when the first
+word over it is built.  All values here are immutable and safe to share
 between threads.  The exceptions are two bounded memos on each
 ``Alphabet``, dicts that learn a missing key on first read and keep it
 while they hold fewer than ``_TOKEN_MEMO_SIZE`` entries and the key is at
@@ -49,11 +51,8 @@ MAX_WORD_LENGTH = 1_000_000
 # Most generators a word can use: its 2n letter codes are characters, and chr stops at 0x10FFFF.
 MAX_GENERATORS = (sys.maxunicode + 1) // 2
 # Most generators whose 2n letter codes fit in a byte below the markers 0xFE
-# and 0xFF of ``_runs``.  Their words are spelt from the alphabet's table of
-# one character per code, whose characters chr keeps ready below 256, and
-# formatted by finding their runs in C.  Past it each character is a new
-# string, so a word over a wider alphabet is spelt from chr of its own codes
-# and builds no table, and its runs are found by a loop.
+# and 0xFF of ``_runs``: ``format_word`` finds the runs of a word over them
+# in C, and those of a word over a wider alphabet by a loop.
 _BYTE_MAX_GENERATORS = 127
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -82,14 +81,18 @@ class AlphabetTooWideError(ValueError):
 
 
 class _Flip(dict):
-    """An empty table that maps each code to the character of its inverse, chr(code ^ 1), as it is read:
-    indexed, or through str.translate, it reads as a table of every code would."""
+    """The one table, for every alphabet, from each code to the character of its inverse, chr(code ^ 1).
+
+    It holds the 256 byte codes.  A wider code is worked out on each read
+    and not stored, so the table never grows: indexed, or through
+    str.translate, it reads as a table of every code would.
+    """
 
     def __missing__(self, code: int) -> str:
         return chr(code ^ 1)
 
 
-_FLIP = _Flip()
+_FLIP = _Flip((code, chr(code ^ 1)) for code in range(256))
 
 
 def _has_room(memo: dict, key: str) -> bool:
@@ -178,27 +181,11 @@ class Alphabet:
         return type(self), (self.names,)
 
     @cached_property
-    def _chars(self) -> tuple[str, ...]:
-        """The character of each code, built when first read: an alphabet no word is built over (an H-action's) builds none."""
-        _check_width(self)
-        return tuple(map(chr, range(2 * len(self.names))))
-
-    @cached_property
     def _char(self) -> Callable[[int], str]:
-        """The character of one code: read from ``_chars`` over at most ``_BYTE_MAX_GENERATORS``
-        generators, else ``chr`` itself, so a word over a wider alphabet costs its own codes only."""
-        if len(self.names) <= _BYTE_MAX_GENERATORS:
-            return self._chars.__getitem__
+        """The character of one code, ``chr``, read once the alphabet's width is checked: every word
+        over it reads this first, so one too wide raises AlphabetTooWideError, not chr's ValueError."""
         _check_width(self)
         return chr
-
-    @cached_property
-    def _flips(self) -> str | dict:
-        """The str.translate table from each code to its inverse: over more than
-        ``_BYTE_MAX_GENERATORS`` generators, ``_FLIP``, which works each one out."""
-        if len(self.names) > _BYTE_MAX_GENERATORS:  # a word over it was built first, and so checked its width
-            return _FLIP
-        return "".join(self._chars[code ^ 1] for code in range(len(self._chars)))
 
     @cached_property
     def _letters(self) -> tuple[Letter, ...]:  # one shared Letter per code, built when a word's letters are read
@@ -297,10 +284,12 @@ def _word(alphabet: Alphabet, codes: str) -> Word:
 
 
 def _spell(alphabet: Alphabet, codes: list[int]) -> Word:
-    """Trusted constructor from int letter codes, in range and reduced."""
-    if len(alphabet.names) > _BYTE_MAX_GENERATORS:
-        return _word(alphabet, "".join(map(alphabet._char, codes)))
-    return _word(alphabet, "".join(_gather(alphabet._chars, codes)))
+    """Trusted constructor from int letter codes, in range and reduced: one C call while every code is a byte."""
+    char = alphabet._char  # chr, once the width is checked
+    try:
+        return _word(alphabet, bytes(codes).decode("latin-1"))
+    except ValueError:  # a code past 255
+        return _word(alphabet, "".join(map(char, codes)))
 
 
 def _gather(seq, indices) -> tuple:
@@ -353,7 +342,7 @@ def concat(w: Word, v: Word) -> Word:
     if top and ord(left[-1]) ^ 1 == ord(right[0]):
         # v opens with the inverse of w's last k letters: XOR the two as 32-bit
         # numbers per code, and the highest bit left marks the first mismatch.
-        x = _number(left[:-top - 1:-1].translate(w.alphabet._flips)) ^ _number(right[:top])
+        x = _number(left[:-top - 1:-1].translate(_FLIP)) ^ _number(right[:top])
         k = top - (x.bit_length() + 31) // 32
     return _word(w.alphabet, left[:len(left) - k] + right[k:])
 
@@ -365,7 +354,7 @@ def _number(codes: str) -> int:
 
 def invert(w: Word) -> Word:
     """Group inverse: reverse the letters and flip every sign."""
-    return _word(w.alphabet, w.codes[::-1].translate(w.alphabet._flips))
+    return _word(w.alphabet, w.codes[::-1].translate(_FLIP))
 
 
 def prefixes(w: Word) -> list[Word]:
@@ -517,11 +506,11 @@ def _run(name: str, k: int) -> str:
 
 def iter_reduced_words(alphabet: Alphabet, max_len: int) -> Iterator[Word]:
     """Yield every reduced word of length <= max_len in shortlex order."""
-    chars, flips, layer = alphabet._chars, alphabet._flips, [""]
+    chars, layer = [*map(alphabet._char, range(2 * len(alphabet.names)))], [""]
     yield _word(alphabet, "")
     for _ in range(max_len):
         # Each word grows by every letter but its last letter's inverse, in shortlex letter order.
-        layer = [codes + ch for codes in layer for ch in chars if not codes or ch != flips[ord(codes[-1])]]
+        layer = [codes + ch for codes in layer for ch in chars if not codes or ch != _FLIP[ord(codes[-1])]]
         if not layer:
             return
         yield from (_word(alphabet, codes) for codes in layer)

@@ -17,7 +17,6 @@ import schreier as s
 import schreier.checks as checks
 import schreier.cli as cli
 import schreier.cosets as cosets
-from schreier.rewrite import _tables
 
 from helpers import (
     brute_factor_reduce,
@@ -951,7 +950,7 @@ def test_tables_and_induce_agree_with_the_index_pair_by_pair(case, data):
     with mock.patch.object(s.words, "_word", lambda alphabet, codes: built.append(codes)):
         table, tr = s.build_table(act, base)
         basis = s.compute_basis(table, tr)
-        emits, edges = _tables(basis), basis._edges
+        emits, edges = basis._emits, basis._edges
         sigma = s.HAction(d, tuple(s.Permutation(tuple(data.draw(st.permutations(range(d))))) for _ in basis.elements))
         ind = s.induce(sigma, table, tr, basis)
     assert built == []  # compute_basis left every word unbuilt, and the tables and induce read none

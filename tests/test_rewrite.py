@@ -101,6 +101,10 @@ def test_bword_validates():
         s.BWord(((0, 2),))
     with pytest.raises(ValueError, match="negative basis index -1"):
         s.BWord(((-1, 1),))
+    with pytest.raises(TypeError):  # a float index is not rounded to another basis element
+        s.BWord(((1.7, 1),))
+    with pytest.raises(TypeError):
+        s.BWord((("3", "-1"),))
 
 
 def test_roundtrip_random_stabilizer_elements():

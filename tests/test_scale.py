@@ -1,5 +1,7 @@
 """The CLI at scale: one fresh ``python -m schreier`` per row, under a time limit, two rows under a max-RSS ceiling.
 
+The benchmark's workloads run once each at seed 0, and must match their recorded outputs.
+
 Each row's input is written once per module.  A fresh wrapper interpreter
 runs ``timeout`` on the command and prints the max RSS of its children as
 the last line of stderr: a child started straight from pytest would count
@@ -7,6 +9,7 @@ pytest's own memory in it.
 """
 
 import fnmatch
+import json
 import os
 import random
 import subprocess
@@ -21,6 +24,8 @@ from helpers import dihedral, make_action, random_perm_images
 _PEAK = ("import resource, subprocess, sys; code = subprocess.run(sys.argv[1:]).returncode; "
          "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr); sys.exit(code)")
 WORD = "x^7001 y x^3000 y x^-5000 y x^-999"  # a member, along tree paths of thousands of letters
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
 
 
 def _random(rng, names, m):
@@ -107,3 +112,12 @@ def test_scale(inputs, timeout, command, code, out, err, ceiling):
     assert fnmatch.fnmatchcase(proc.stdout, out.format(**inputs)), proc.stdout[-200:]
     assert fnmatch.fnmatchcase(stderr, err), stderr[-2000:]
     assert ceiling is None or mb <= ceiling, f"max RSS {mb:.1f} MB is over the {ceiling} MB ceiling"
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_bench_workloads_match_their_recorded_outputs_at_seed_0(workload):
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed", "0", "--seconds", "0"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result

@@ -6,6 +6,7 @@ import threading
 import tracemalloc
 
 import pytest
+from hypothesis import given, strategies as st
 
 import schreier as s
 from helpers import (
@@ -466,6 +467,43 @@ def test_a_word_over_a_wide_alphabet_spells_only_its_own_codes():
         layers[len(u)] += 1
         assert all(ord(a) ^ 1 != ord(b) for a, b in zip(u.codes, u.codes[1:]))
     assert layers == [1, 260, 260 * 259]
+
+
+_SPELL_ALPHABETS = {n: s.Alphabet(tuple(f"g{i}" for i in range(n))) for n in (3, 128, 0x7000)}
+# The byte edge and both ends of the surrogates, which 0x7000 generators' codes reach.
+_SPELL_EDGES = (0, 1, 5, 254, 255, 256, 257, 0xD7FF, 0xD800, 0xDBFF, 0xDC00, 0xDFFF)
+
+
+@st.composite
+def _alphabet_and_codes(draw):
+    n = draw(st.sampled_from(sorted(_SPELL_ALPHABETS)))
+    top = 2 * n - 1
+    code = st.one_of(st.integers(0, min(top, 255)), st.integers(0, top),
+                     st.sampled_from([c for c in _SPELL_EDGES if c <= top]))
+    return _SPELL_ALPHABETS[n], draw(st.lists(code, max_size=40))
+
+
+@given(_alphabet_and_codes())
+def test_spell_is_chr_of_each_code_below_and_past_a_byte(case):
+    alphabet, codes = case
+    assert s.words._spell(alphabet, codes).codes == "".join(map(chr, codes))
+
+
+def test_the_shared_inverse_table_never_grows():
+    ab = s.Alphabet(tuple(f"x{k}" for k in range(100_001)))
+    w = s.Word(ab, [(100_000, 1), (7, -1), (50_000, 1), (300, -1)])
+    v = s.invert(w)
+    assert s.concat(w, v).is_identity() and s.concat(v, s.concat(w, s.single(ab, 99_999))) == s.single(ab, 99_999)
+    assert str(v) == "x300 x50000^-1 x7 x100000^-1" and len(s.words._FLIP) == 256
+
+
+@pytest.mark.parametrize("n", [3, 300])
+def test_an_alphabet_keeps_no_table_of_characters_or_of_inverses(n):
+    ab = s.Alphabet(tuple(f"g{i}" for i in range(n)))
+    w = s.Word(ab, [(n - 1, 1), (0, -1), (1, 1)])
+    assert s.concat(w, s.invert(w)).is_identity() and str(s.invert(w)) == f"g1^-1 g0 g{n - 1}^-1"
+    assert sum(1 for _ in s.iter_reduced_words(ab, 2)) == 1 + 2 * n + 2 * n * (2 * n - 1)
+    assert not {"_chars", "_flips"} & vars(ab).keys()
 
 
 def test_str_split_and_re_agree_on_whitespace():
