@@ -7,6 +7,7 @@ generator assignment to the whole group.
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 from .words import _TOKEN_MEMO_SIZE, Alphabet, Letter, Word, _gather
 
@@ -31,6 +32,7 @@ MAX_DEGREE = 1_000_000
 # past that as many as fit.  It holds at most ``_TOKEN_MEMO_SIZE`` pairs, like
 # the alphabet's memos.
 _PAIR_MEMO_IMAGES = 1 << 18
+_SHOWN_IMAGES = 32  # most images named in the message of a row that is not a bijection
 
 
 class ActionParseError(ValueError):
@@ -38,14 +40,14 @@ class ActionParseError(ValueError):
 
 
 class _Pairs(dict):
-    """``perm_of_word``'s memo: the codes of a two-letter reduced word -> its image tuple,
-    found by one gather on first read and kept while the memo holds fewer than ``room`` pairs."""
+    """``perm_of_word``'s memo: the codes of a two-letter reduced word -> its image tuple, found by one
+    gather of its codes' images on first read and kept while the memo holds fewer than ``room`` pairs."""
 
-    def __init__(self, steps: tuple[tuple[int, ...], ...], room: int):
-        self._steps, self.room = steps, room
+    def __init__(self, perms: tuple["Permutation", ...], room: int):
+        self._perms, self.room = perms, room
 
     def __missing__(self, pair: str) -> tuple[int, ...]:
-        images = _gather(self._steps[ord(pair[1])], self._steps[ord(pair[0])])
+        images = _gather(_images(self._perms, ord(pair[1])), _images(self._perms, ord(pair[0])))
         if len(self) < self.room:
             self[pair] = images
         return images
@@ -90,7 +92,8 @@ class Permutation:
 
 
 def _not_a_bijection(images: tuple[int, ...]) -> str:
-    return f"invalid permutation: {list(images)} is not a bijection of 0..{len(images) - 1}"
+    shown = ", ".join(map(repr, images[:_SHOWN_IMAGES])) + (", ..." if len(images) > _SHOWN_IMAGES else "")
+    return f"invalid permutation: [{shown}] is not a bijection of 0..{len(images) - 1}"
 
 
 def _perm(images: tuple[int, ...]) -> Permutation:
@@ -104,15 +107,15 @@ def _perm(images: tuple[int, ...]) -> Permutation:
 class FiniteAction:
     """A right action on {0..degree-1} given by one permutation per generator.
 
-    Its per-code image tuples, ``_steps``, are built on first use, and so
-    is one bounded memo, ``_pairs``: the image tuple of each two-letter
-    word ``perm_of_word`` has read, learned on a miss and kept while it
-    holds fewer than ``_pair_room`` pairs, at most ``_TOKEN_MEMO_SIZE`` of
-    them and ``_PAIR_MEMO_IMAGES`` images in all.  Neither is a field, so
-    neither takes part in ``==``, ``hash``, ``repr``, ``asdict`` or a
-    pickle.  The memo is thread-safe as the alphabet's are: a pair always
-    maps to the same tuple, and threads racing past the size check can
-    each overfill it by one pair.
+    ``step`` and ``perm_of_word`` read their word's codes through ``_images``
+    and invert no other generator.  ``_steps``, every code's images for the
+    hot loops, is built on first use, and so is one bounded memo, ``_pairs``:
+    the image tuple of each two-letter word ``perm_of_word`` has read, kept
+    under its ``room`` of at most ``_TOKEN_MEMO_SIZE`` pairs and
+    ``_PAIR_MEMO_IMAGES`` images.  Neither is a field, so neither takes part
+    in ``==``, ``hash``, ``repr``, ``asdict`` or a pickle.  The memo is
+    thread-safe as the alphabet's are: a pair always maps to the same tuple,
+    and threads racing past the size check can each overfill it by one pair.
     """
 
     alphabet: Alphabet
@@ -140,24 +143,24 @@ class FiniteAction:
     def _steps(self) -> tuple[tuple[int, ...], ...]:
         # One image tuple per letter code 2g + (sign < 0), in shortlex letter
         # order, so a letter acts by two indexings with no branch on its sign.
-        return tuple(images for perm in self.gen_perms for images in (perm.images, perm.inverse.images))
+        return tuple(_images(self.gen_perms, code) for code in range(2 * len(self.gen_perms)))
 
     def step(self, point: int, letter: Letter) -> int:
         """Image of a point under a single signed letter."""
         g, sign = letter
         if not 0 <= g < len(self.gen_perms) or sign not in (1, -1):
             raise ValueError(f"invalid letter {tuple(letter)} for {len(self.gen_perms)} generators")
-        return self._steps[2 * g + (sign < 0)][point]
+        return _images(self.gen_perms, 2 * g + (sign < 0))[point]
 
     @cached_property
     def _pairs(self) -> _Pairs:
-        """``perm_of_word``'s memo: see ``_Pairs``."""
-        return _Pairs(self._steps, self._pair_room)
+        """``perm_of_word``'s memo, with room for as many pairs of ``degree`` images as its bounds allow."""
+        return _Pairs(self.gen_perms, min(_TOKEN_MEMO_SIZE, _PAIR_MEMO_IMAGES // self.degree))
 
-    @cached_property
-    def _pair_room(self) -> int:
-        """How many pairs ``_pairs`` may hold: its store rule, with each pair's images ``degree`` of them."""
-        return min(_TOKEN_MEMO_SIZE, _PAIR_MEMO_IMAGES // self.degree)
+
+def _images(perms: tuple[Permutation, ...], code: int) -> tuple[int, ...]:
+    """The image tuple of letter code 2g + (sign < 0): generator g's images, or its inverse's for an odd code."""
+    return perms[code >> 1].inverse.images if code & 1 else perms[code >> 1].images
 
 
 def evaluate(act: FiniteAction, point: int, w: Word) -> int:
@@ -187,7 +190,7 @@ def perm_of_word(act: FiniteAction, w: Word) -> Permutation:
         return Permutation.identity(act.degree)
     pairs = act._pairs
     start = len(codes) & 1
-    images = act._steps[ord(codes[0])] if start else pairs[codes[:2]]
+    images = _images(act.gen_perms, ord(codes[0])) if start else pairs[codes[:2]]
     for i in range(2 - start, len(codes), 2):
         images = _gather(pairs[codes[i:i + 2]], images)
     return _perm(images)
@@ -226,15 +229,16 @@ def parse_action_text(text: str) -> FiniteAction:
 
     ``degree m``, then ``generators name1 name2 ...``, then one
     ``perm name i0 i1 ... i(m-1)`` line per generator.  Blank lines and
-    ``#`` comments are ignored.  One pass, row by row with C calls per row:
-    the first fault in line order raises.
+    ``#`` comments are ignored.  One pass, each row split as it is read and
+    checked with C calls: the first fault in line order raises.
     """
     lines = [line.split("#", 1)[0] for line in text.splitlines()] if "#" in text else text.splitlines()
-    rows = [(lineno, fields) for lineno, fields in enumerate(map(str.split, lines), start=1) if fields]
-    if not rows:
+    rows = ((lineno, fields) for lineno, fields in enumerate(map(str.split, lines), start=1) if fields)
+    head = list(islice(rows, 2))
+    if not head:
         raise ActionParseError("empty action file")
 
-    lineno, fields = rows[0]
+    lineno, fields = head[0]
     if len(fields) != 2 or fields[0] != "degree":
         raise ActionParseError(f"line {lineno}: expected 'degree m'")
     try:
@@ -246,9 +250,9 @@ def parse_action_text(text: str) -> FiniteAction:
     if degree > MAX_DEGREE:
         raise ActionParseError(f"line {lineno}: degree more than the limit of {MAX_DEGREE}")
 
-    if len(rows) < 2 or rows[1][1][0] != "generators":
+    if len(head) < 2 or head[1][1][0] != "generators":
         raise ActionParseError("expected a 'generators' line after the degree")
-    lineno, fields = rows[1]
+    lineno, fields = head[1]
     try:
         alphabet = Alphabet(tuple(fields[1:]))
     except ValueError as exc:
@@ -256,7 +260,7 @@ def parse_action_text(text: str) -> FiniteAction:
 
     positions, bijection = alphabet._positions, list(range(degree))
     images: dict[str, tuple[int, ...]] = {}
-    for lineno, fields in rows[2:]:
+    for lineno, fields in rows:
         if fields[0] != "perm":
             raise ActionParseError(f"line {lineno}: expected a 'perm' line, got {fields[0]!r}")
         if len(fields) < 2:

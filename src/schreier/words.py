@@ -148,7 +148,7 @@ class Letter(NamedTuple):
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Ordered, distinct generator names; the order fixes shortlex.  Its per-code tables are built on first use.
+    """Ordered, distinct generator names; the order fixes shortlex.  It keeps no table per letter code.
 
     It also keeps two bounded memos, neither pickled, each learning what it
     lacks on first read: ``_tokens``, from factor tokens ``parse`` has read
@@ -186,10 +186,6 @@ class Alphabet:
         over it reads this first, so one too wide raises AlphabetTooWideError, not chr's ValueError."""
         _check_width(self)
         return chr
-
-    @cached_property
-    def _letters(self) -> tuple[Letter, ...]:  # one shared Letter per code, built when a word's letters are read
-        return tuple(Letter(g, sign) for g in range(len(self.names)) for sign in (1, -1))
 
     @cached_property
     def _positions(self) -> dict[str, int]:
@@ -244,8 +240,8 @@ class Word:
 
     @property
     def letters(self) -> tuple[Letter, ...]:
-        """The alphabet's shared Letter per code, built on each read."""
-        return _gather(self.alphabet._letters, [*map(ord, self.codes)])
+        """One Letter per code, (code >> 1, -1 for an odd code, else 1), built from the word's own codes on each read."""
+        return tuple([Letter(code >> 1, -1 if code & 1 else 1) for code in map(ord, self.codes)])
 
     def __len__(self) -> int:
         return len(self.codes)

@@ -1,3 +1,4 @@
+import itertools
 import pickle
 import random
 import re
@@ -95,7 +96,7 @@ def test_perm_of_word_multiplicative():
 
 
 def test_pair_memo_room_is_4096_pairs_and_2_to_the_18_images():
-    rooms = {m: make_action(("x",), [list(range(m))])._pair_room for m in (1, 64, 65, 200, 2**18, 2**18 + 1)}
+    rooms = {m: make_action(("x",), [list(range(m))])._pairs.room for m in (1, 64, 65, 200, 2**18, 2**18 + 1)}
     assert rooms == {1: 4096, 64: 4096, 65: 4032, 200: 1310, 2**18: 1, 2**18 + 1: 0}
     # With no room, a word still costs its pairs' two gathers each, and the memo stays empty.
     act = make_action(("x", "y"), [list(range(1, 2**18 + 1)) + [0], list(range(2**18 + 1))])
@@ -109,6 +110,22 @@ def test_a_pickled_action_keeps_only_its_fields():
     twin = pickle.loads(pickle.dumps(act))
     assert twin == act and not {"_steps", "_pairs"} & set(vars(twin))
     assert s.perm_of_word(twin, w) == s.perm_of_word(act, w)
+
+
+def test_a_word_over_a_wide_action_inverts_only_its_own_generators():
+    # 100,001 generators of degree 4, the shape of the H-action of a stabilizer of index 10^5.
+    rows = list(itertools.permutations(range(4)))
+    ab = s.Alphabet(tuple(f"b{k}" for k in range(100_001)))
+    act = s.FiniteAction(ab, 4, tuple(s.Permutation(rows[k % 24]) for k in range(100_001)))
+    b7, b9 = rows[7], rows[9]
+    b9_inverse = tuple(b9.index(p) for p in range(4))
+    assert s.perm_of_word(act, ab.word("b7 b9^-1")).images == tuple(b9_inverse[b7[p]] for p in range(4))
+    assert s.perm_of_word(act, ab.word("b9^-1 b7 b9^-1")).images == tuple(
+        b9_inverse[b7[b9_inverse[p]]] for p in range(4))  # an odd first letter
+    assert tuple(act.step(p, s.Letter(9, -1)) for p in range(4)) == b9_inverse
+    assert tuple(act.step(p, s.Letter(7, 1)) for p in range(4)) == b7
+    assert "_steps" not in vars(act)
+    assert [k for k, perm in enumerate(act.gen_perms) if "inverse" in vars(perm)] == [9]
 
 
 def test_pair_memo_stays_bounded_under_racing_threads(monkeypatch):
@@ -258,6 +275,18 @@ def test_parse_action_reads_a_wide_file_in_one_pass():
         assert str(expected.value).startswith(f"line 4503: {kind}")
         with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
             s.parse_action_text(text)
+
+
+def test_a_row_that_is_not_a_bijection_is_named_in_under_a_kilobyte():
+    # One repeated image in a row of degree 100,000: the message names the first 32 images, not the row.
+    images = [*range(99_999), 0]
+    pattern = r"invalid permutation: \[0, 1, 2, (\d+, ){28}31, \.\.\.\] is not a bijection of 0\.\.99999$"
+    with pytest.raises(s.ActionParseError, match="^line 3: " + pattern) as fault:
+        s.parse_action_text(f"degree 100000\ngenerators x\nperm x {' '.join(map(str, images))}\n")
+    assert len(str(fault.value).encode()) < 1024
+    with pytest.raises(ValueError, match="^" + pattern) as fault:
+        s.Permutation(tuple(images))
+    assert len(str(fault.value).encode()) < 1024
 
 
 def test_write_read_action_file(tmp_path):

@@ -1,10 +1,15 @@
 """The package namespace is the union of its library modules' ``__all__``."""
 
+import ast
 import importlib
 from collections import Counter
+from pathlib import Path
+
+import pytest
 
 import schreier
 
+SOURCES = sorted(Path(schreier.__file__).parent.glob("*.py"))
 MODULES = [importlib.import_module(f"schreier.{name}")
            for name in ("actions", "basis", "checks", "cosets", "induce", "rewrite", "words")]
 
@@ -46,3 +51,16 @@ def test_public_surface_is_pinned():
         "read_action_file", "reduce", "rep", "restrict_to_h", "rewrite", "run_checks", "single",
         "tensor_action_generic",
     ]
+
+
+def test_every_module_parses_under_the_python_3_10_grammar():
+    """``requires-python = ">=3.10"``: every module parses as Python 3.10.
+
+    This checks the grammar only, such as ``except*``; a library name added
+    after 3.10 still parses.
+    """
+    assert {path.stem for path in SOURCES} >= {module.__name__.rpartition(".")[2] for module in MODULES}
+    for path in SOURCES:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))

@@ -44,20 +44,23 @@ def _canonical(rng, letters):
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """What the rows' commands name: the path of each action file, the canonical text and ``a^L``.
+    """What the rows' commands name: the path of each action file, the canonical text, ``a^L`` and ``b7 b9``'s images.
 
     ``a^L`` is a member of the stabilizer of 0 in ``random2x100000``, for L
-    the length of 0's cycle under a.
+    the length of 0's cycle under a.  ``b7_b9`` is the image row of ``b7 b9``
+    in ``h4x100001``, composed from its two perm rows.
     """
     rng = random.Random(1)
     wide = _random(random.Random(0), "ab", 100_000)
+    h_wide = _random(rng, [f"b{k}" for k in range(100_001)], 4)
     texts = {name: s.format_action_text(act) for name, act in [
         ("random5x2000", _random(random.Random(0), "abcde", 2000)),
         ("dihedral4000", dihedral(4000)),
         ("induce5x2000", _random(rng, "abcde", 2000)),
         ("h4x8001", _random(rng, [f"b{k}" for k in range(8001)], 4)),
         ("dihedral20000", dihedral(20_000)),
-        ("random2x100000", wide)]}
+        ("random2x100000", wide),
+        ("h4x100001", h_wide)]}
     texts["h4x8001bad"] = texts["h4x8001"][:-1].rpartition("\n")[0] + "\nperm b8000 0 0 1 2\n"
     folder = tmp_path_factory.mktemp("scale")
     values = {}
@@ -68,8 +71,9 @@ def inputs(tmp_path_factory):
     p, length = a[0], 1
     while p:
         p, length = a[p], length + 1
+    b7, b9 = h_wide.gen_perms[7].images, h_wide.gen_perms[9].images
     return dict(values, canonical=_canonical(random.Random(0), 20_000), a_cycle=f"a^{length}",
-                cancelling=" ".join(["x^1000000 x^-1000000"] * 1000 + ["y"]))
+                cancelling=" ".join(["x^1000000 x^-1000000"] * 1000 + ["y"]), b7_b9=" ".join(str(b9[p]) for p in b7))
 
 
 ROWS = [
@@ -88,6 +92,9 @@ ROWS = [
     # 72.9 MB read under Python 3.11 on x86-64 Linux, plus 10 MB for other interpreters' start-up.
     pytest.param(60, ["rewrite", "{random2x100000}", "{a_cycle}"], 0, "*\nexpanded: {a_cycle}\n", "*", 83,
                  id="rewrite random 2x100000"),
+    # 100,001 generators of degree 4: the word inverts neither of its generators, nor any other.
+    # 72.3 MB read under Python 3.11 on x86-64 Linux, plus 10 MB for other interpreters' start-up.
+    pytest.param(30, ["act", "{h4x100001}", "b7 b9"], 0, "{b7_b9}\n", "*", 83, id="act wide H-action"),
     pytest.param(30, ["reduce", "-g", "x,y,z", "{canonical}"], 0, "{canonical}\n", "*", None,
                  id="reduce canonical 20000"),
     # 2,001 tokens, runs of a million letters that cancel in pairs: folded as they are read, no letter built.

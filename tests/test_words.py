@@ -530,13 +530,29 @@ def test_a_word_is_one_string_of_letter_codes():
     assert s.concat(s.invert(v), v).is_identity() and str(s.invert(v)) == "g3^-1 g29999^-1 g27700^2"
 
 
-def test_letters_are_the_alphabets_shared_letters_of_the_codes():
+def test_letters_are_built_from_the_words_own_codes():
     ab = s.Alphabet(("x", "y", "z"))
     w = ab.word("z^-1 x^3 y")
-    assert "_letters" not in vars(ab)  # built on the first read of some word's letters
     assert w.letters == (s.Letter(2, -1), s.Letter(0, 1), s.Letter(0, 1), s.Letter(0, 1), s.Letter(1, 1))
-    assert all(lt is ab._letters[ord(c)] for lt, c in zip(w.letters, w.codes))
-    assert all(x is y for x, y in zip(w.letters, s.concat(w, w).letters))
+    assert all(lt == s.Letter(ord(c) >> 1, -1 if ord(c) & 1 else 1) and type(lt) is s.Letter
+               for lt, c in zip(w.letters, w.codes))
+    assert s.concat(w, w).letters == w.letters * 2
+
+
+def test_letters_over_a_wide_alphabet_build_only_the_words_own():
+    # Over 100,001 generators a two-letter word's letters are two Letters,
+    # not one per code of the alphabet (17.8 MB for a table).
+    ab = s.Alphabet(tuple(f"x{k}" for k in range(100_001)))
+    w = s.Word(ab, [(100_000, 1), (7, -1)])
+    kept = dict(vars(ab))
+    tracemalloc.start()
+    try:
+        letters = w.letters
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert letters == (s.Letter(100_000, 1), s.Letter(7, -1)) and vars(ab) == kept
 
 
 def test_words_over_too_wide_an_alphabet_raise_a_typed_error(monkeypatch):
